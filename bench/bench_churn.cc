@@ -1,34 +1,25 @@
 // bench_churn: sustained insert/delete/solve churn against one registered
 // database — the ROADMAP's long-lived high-churn deployment in miniature.
 //
-// Two experiments:
-//   1. Compaction: alternating delete/insert over a fixed live set, with
-//      automatic tombstone compaction off vs on. Reports mutations/sec,
-//      solves/sec, and the peak resident fact-slot count (off: slots grow
-//      with every re-insert; on: bounded by alive/(1-dead_ratio)).
-//   2. Locking: T threads, each churning its own disjoint q-connected
-//      components and solving after every round, under the PR 3-style
-//      exclusive per-database lock (ServiceOptions::
-//      exclusive_lock_baseline) vs the component-sharded scheme. Reports
-//      combined throughput and the speedup.
+// Compaction experiment: alternating delete/insert over a fixed live
+// set, with automatic tombstone compaction off vs on. Reports
+// mutations/sec, solves/sec, and the peak resident fact-slot count (off:
+// slots grow with every re-insert; on: bounded by alive/(1-dead_ratio)).
 //
-// Custom main (not google-benchmark): the experiments need a shared
-// Service across threads, peak-stat polling, and an A/B over
-// ServiceOptions, which fit a plain driver better than the fixture API.
+// Custom main (not google-benchmark): the experiment needs peak-stat
+// polling and an A/B over ServiceOptions, which fit a plain main()
+// better than the fixture API.
 //
-//   ./bench_churn [--smoke] [--facts=N] [--ops=N] [--threads=N]
+//   ./bench_churn [--smoke] [--facts=N] [--ops=N]
 //
 // --smoke shrinks everything for CI artifact runs.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "api/service.h"
 #include "bench_json.h"
@@ -39,7 +30,6 @@ namespace {
 struct Config {
   std::size_t facts = 10000;   // Live facts in the database.
   std::size_t ops = 100000;    // Mutations per experiment.
-  std::size_t threads = 8;     // Max threads for the locking experiment.
   bool smoke = false;
   std::string label = "adhoc";  // Run label in BENCH_churn.json.
   std::string out_dir;          // BENCH file directory ("" = repo root).
@@ -52,25 +42,22 @@ double Seconds(std::chrono::steady_clock::time_point start) {
 }
 
 /// Disjoint two-fact inconsistent components for q3 = R(x | y) R(y | z):
-/// block {R(a|b), R(a|c)} per index, namespaced per thread.
-std::string NsName(std::size_t thread, const char* stem, std::size_t i) {
-  return "t" + std::to_string(thread) + stem + std::to_string(i);
+/// block {R(a|b), R(a|c)} per index.
+std::string Name(const char* stem, std::size_t i) {
+  return stem + std::to_string(i);
 }
 
-Database BuildDatabase(const Schema& schema, std::size_t threads,
-                       std::size_t components_per_thread) {
+Database BuildDatabase(const Schema& schema, std::size_t components) {
   Database db(schema);
-  for (std::size_t t = 0; t < threads; ++t) {
-    for (std::size_t i = 0; i < components_per_thread; ++i) {
-      db.AddFactNamed(0, {NsName(t, "a", i), NsName(t, "b", i)});
-      db.AddFactNamed(0, {NsName(t, "a", i), NsName(t, "c", i)});
-    }
+  for (std::size_t i = 0; i < components; ++i) {
+    db.AddFactNamed(0, {Name("a", i), Name("b", i)});
+    db.AddFactNamed(0, {Name("a", i), Name("c", i)});
   }
   return db;
 }
 
 // ---------------------------------------------------------------------
-// Experiment 1: compaction on vs off under alternating delete/insert.
+// Compaction on vs off under alternating delete/insert.
 // ---------------------------------------------------------------------
 
 void RunCompactionExperiment(const Config& config, bool compaction,
@@ -78,10 +65,6 @@ void RunCompactionExperiment(const Config& config, bool compaction,
   ServiceOptions options;
   options.compact_dead_ratio = compaction ? 0.4 : 2.0;  // >=1 disables.
   options.compact_min_slots = 256;
-  // Keep the verdict cache above the component count at any --facts:
-  // this experiment measures compaction, not cache-thrash behavior.
-  options.verdict_cache.max_entries =
-      std::max<std::size_t>(options.verdict_cache.max_entries, config.facts);
   Service service(options);
   auto q = service.Compile("R(x | y) R(y | z)");
   if (!q.ok()) {
@@ -90,7 +73,7 @@ void RunCompactionExperiment(const Config& config, bool compaction,
   }
   std::size_t components = config.facts / 2;
   (void)service.RegisterDatabase(
-      "db", BuildDatabase(q->query().schema(), 1, components));
+      "db", BuildDatabase(q->query().schema(), components));
 
   std::uint64_t peak_slots = 0;
   std::uint64_t compactions = 0;
@@ -99,7 +82,7 @@ void RunCompactionExperiment(const Config& config, bool compaction,
   auto start = std::chrono::steady_clock::now();
   for (std::size_t op = 0; op < config.ops; op += 2) {
     std::size_t i = (op / 2) % components;
-    FactSpec spec{"R", {NsName(0, "a", i), NsName(0, "c", i)}};
+    FactSpec spec{"R", {Name("a", i), Name("c", i)}};
     MutationStats stats;
     (void)service.DeleteFacts("db", {spec}, &stats);
     (void)service.InsertFacts("db", {spec}, &stats);
@@ -144,98 +127,15 @@ void RunCompactionExperiment(const Config& config, bool compaction,
   writer->Add(std::move(entry));
 }
 
-// ---------------------------------------------------------------------
-// Experiment 2: exclusive-lock baseline vs component-sharded locking,
-// T threads of mutate+solve rounds on disjoint components.
-// ---------------------------------------------------------------------
-
-double RunLockingExperiment(const Config& config, std::size_t threads,
-                            bool baseline, std::FILE* out,
-                            bench::BenchJsonWriter* writer) {
-  ServiceOptions options;
-  options.exclusive_lock_baseline = baseline;
-  options.compact_dead_ratio = 0.4;
-  options.compact_min_slots = 256;
-  options.verdict_cache.max_entries =
-      std::max<std::size_t>(options.verdict_cache.max_entries, config.facts);
-  Service service(options);
-  auto q = service.Compile("R(x | y) R(y | z)");
-  if (!q.ok()) std::exit(1);
-  std::size_t per_thread = std::max<std::size_t>(1, config.facts / 2 / threads);
-  (void)service.RegisterDatabase(
-      "db", BuildDatabase(q->query().schema(), threads, per_thread));
-  // Warm the verdict cache so the measured loop is steady-state churn,
-  // not first-solve partition building.
-  (void)service.Solve(*q, "db");
-
-  std::size_t rounds_per_thread = config.ops / 2 / threads;
-  std::atomic<std::uint64_t> failures{0};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  auto start = std::chrono::steady_clock::now();
-  for (std::size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      for (std::size_t round = 0; round < rounds_per_thread; ++round) {
-        std::size_t i = round % per_thread;
-        FactSpec spec{"R", {NsName(t, "a", i), NsName(t, "c", i)}};
-        if (!service.DeleteFacts("db", {spec}).ok()) ++failures;
-        if (!service.InsertFacts("db", {spec}).ok()) ++failures;
-        if (!service.Solve(*q, "db").ok()) ++failures;
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  double elapsed = Seconds(start);
-  if (failures.load() != 0) {
-    std::fprintf(stderr, "locking experiment failures: %llu\n",
-                 static_cast<unsigned long long>(failures.load()));
-    std::exit(1);
-  }
-  double rounds = static_cast<double>(rounds_per_thread * threads);
-  double per_sec = rounds / elapsed;
-  std::fprintf(out,
-               "threads=%2zu  locking=%-9s  rounds/sec=%9.0f  "
-               "(each round = 2 mutations + 1 solve)\n",
-               threads, baseline ? "exclusive" : "sharded", per_sec);
-  bench::BenchEntry entry;
-  entry.name = "locking/threads=" + std::to_string(threads);
-  entry.variant = baseline ? "exclusive" : "sharded";
-  entry.wall_seconds = elapsed;
-  entry.iterations = rounds_per_thread * threads;
-  entry.counters = {{"rounds_per_sec", per_sec},
-                    {"threads", static_cast<double>(threads)}};
-  writer->Add(std::move(entry));
-  return per_sec;
-}
-
 void Run(const Config& config) {
   std::FILE* out = stdout;
   bench::BenchJsonWriter writer("churn", config.label);
-  std::fprintf(out,
-               "bench_churn: facts=%zu ops=%zu max_threads=%zu%s\n\n",
-               config.facts, config.ops, config.threads,
-               config.smoke ? " (smoke)" : "");
+  std::fprintf(out, "bench_churn: facts=%zu ops=%zu%s\n\n", config.facts,
+               config.ops, config.smoke ? " (smoke)" : "");
 
-  std::fprintf(out, "[1] tombstone compaction (single-threaded churn)\n");
+  std::fprintf(out, "tombstone compaction (single-threaded churn)\n");
   RunCompactionExperiment(config, /*compaction=*/false, out, &writer);
   RunCompactionExperiment(config, /*compaction=*/true, out, &writer);
-
-  std::fprintf(out, "\n[2] exclusive-lock baseline vs sharded locking\n");
-  double base1 =
-      RunLockingExperiment(config, 1, /*baseline=*/true, out, &writer);
-  (void)base1;
-  std::vector<std::size_t> thread_counts;
-  for (std::size_t t = 2; t <= config.threads; t *= 2) {
-    thread_counts.push_back(t);
-  }
-  for (std::size_t t : thread_counts) {
-    double exclusive =
-        RunLockingExperiment(config, t, /*baseline=*/true, out, &writer);
-    double sharded =
-        RunLockingExperiment(config, t, /*baseline=*/false, out, &writer);
-    std::fprintf(out, "threads=%2zu  sharded/exclusive speedup: %.2fx\n", t,
-                 sharded / exclusive);
-  }
 
   std::string path = writer.WriteMerged(config.out_dir);
   std::fprintf(out, "\nwrote %s (label=%s, %zu entries)\n", path.c_str(),
@@ -249,9 +149,6 @@ int main(int argc, char** argv) {
   // Line-buffer stdout so the nightly CI tee shows progress live.
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   cqa::Config config;
-  std::size_t hw = std::thread::hardware_concurrency();
-  if (hw != 0) config.threads = std::max<std::size_t>(2, hw);
-  bool threads_given = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--smoke") == 0) {
@@ -260,17 +157,14 @@ int main(int argc, char** argv) {
       config.facts = std::strtoull(arg + 8, nullptr, 10);
     } else if (std::strncmp(arg, "--ops=", 6) == 0) {
       config.ops = std::strtoull(arg + 6, nullptr, 10);
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      config.threads = std::strtoull(arg + 10, nullptr, 10);
-      threads_given = true;
     } else if (std::strncmp(arg, "--label=", 8) == 0) {
       config.label = arg + 8;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       config.out_dir = arg + 6;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--facts=N] [--ops=N] [--threads=N] "
-                   "[--label=L] [--out=DIR]\n",
+                   "usage: %s [--smoke] [--facts=N] [--ops=N] [--label=L] "
+                   "[--out=DIR]\n",
                    argv[0]);
       return 2;
     }
@@ -278,9 +172,6 @@ int main(int argc, char** argv) {
   if (config.smoke) {
     config.facts = std::min<std::size_t>(config.facts, 2000);
     config.ops = std::min<std::size_t>(config.ops, 20000);
-    if (!threads_given) {
-      config.threads = std::min<std::size_t>(config.threads, 4);
-    }
   }
   cqa::Run(config);
   return 0;

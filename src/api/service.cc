@@ -513,24 +513,16 @@ StatusOr<SolveReport> Service::Solve(const CompiledQuery& q,
 
   SolveReport report;
   if (options_.incremental_solving && q.query().NumAtoms() == 2) {
-    if (options_.exclusive_lock_baseline) {
-      // Benchmark baseline: the pre-sharding behavior, every incremental
-      // solve exclusive per database.
-      std::unique_lock lock((*entry)->structure);
-      EnsurePrepared(**entry);
-      auto inc = IncrementalFor(**entry, q);
-      report = inc->solver->Solve(options_.explain_non_certain);
-      if (name_witness) NameWitness((*entry)->db, &report);
-    } else {
-      // The shared lock only excludes mutations/compactions: concurrent
-      // solves — cache hits and cache fills alike — proceed in parallel,
-      // coordinating per component through the solver's shard locks.
-      std::shared_lock lock((*entry)->structure);
-      EnsurePrepared(**entry);
-      auto inc = IncrementalFor(**entry, q);
-      report = inc->solver->Solve(options_.explain_non_certain);
-      if (name_witness) NameWitness((*entry)->db, &report);
-    }
+    // The shared lock only excludes mutations and compactions. The
+    // solver settles queued deltas under its own components lock and
+    // re-solves only dirty components, coordinating concurrent fills of
+    // one component through its history-shard lock; every other solve
+    // reads the maintained certain count.
+    std::shared_lock lock((*entry)->structure);
+    EnsurePrepared(**entry);
+    auto inc = IncrementalFor(**entry, q);
+    report = inc->solver->Solve(options_.explain_non_certain);
+    if (name_witness) NameWitness((*entry)->db, &report);
   } else {
     std::shared_lock lock((*entry)->structure);
     EnsurePrepared(**entry);

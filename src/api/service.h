@@ -25,16 +25,18 @@
 //   - InsertFacts/DeleteFacts mutate a registered database in place:
 //     the preparation is delta-maintained (never rebuilt) and solves
 //     after a delta re-solve only the q-connected components the delta
-//     touched, merging cached verdicts for the rest (see
-//     engine/incremental.h; SolveReport::components_* report the reuse).
+//     touched and read the answer from a maintained count of certain
+//     components (see engine/incremental.h; SolveReport::components_*
+//     report the reuse).
 //   - Solves return SolveReport (api/report.h): answer, class,
 //     algorithm, per-phase timings, size counters, and a
 //     falsifying-repair witness for non-certain answers when the
 //     backend supports Explain.
 //
 // Memory model: every per-database cache is bounded. The per-query
-// incremental-solver map and each solver's per-component verdict cache
-// are LRU-bounded (ServiceOptions::solver_cache / verdict_cache), and
+// incremental-solver map and each solver's history cache of retired
+// component verdicts are LRU-bounded (ServiceOptions::solver_cache /
+// verdict_cache; live components hold their own verdicts), and
 // sustained deletion churn triggers tombstone compaction once the
 // dead-slot ratio passes ServiceOptions::compact_dead_ratio: the Database
 // reclaims its slots and publishes a FactIdRemap that delta-patches the
@@ -52,21 +54,20 @@
 // touching disjoint components spend their exclusive window on the
 // database/index writes alone; the union-find catch-up happens on the
 // next solve or audit of each query, under that solver's own components
-// lock. Concurrent cache-filling solves coordinate through the verdict
-// cache's component-sharded locks: solvers of disjoint components run
+// lock. A solve then re-solves only the components that catch-up
+// dirtied; concurrent solves coordinate those fills through the history
+// cache's component-sharded locks: fills of disjoint components run
 // their backend passes in parallel; two solvers racing on the same
 // component serialize, and the loser reuses the winner's verdict.
 // Compile, registration, and solves on different databases also run
 // concurrently; a database dropped mid-solve stays alive until the solve
-// returns. ServiceOptions::exclusive_lock_baseline restores the
-// pre-sharding behavior (every incremental solve exclusive) for
-// benchmarking.
+// returns.
 //
 // The acquisition order across these locks is a machine-checked hierarchy
 // (base/lock_rank.h): kServiceRegistry (mutex_) > kDbEntry (structure) >
 // kWal (the DurableStore's WAL/snapshot lock) > kComponents (each
 // incremental solver's deferred-delta/partition lock) > kVerdictShard
-// (inc_mu and the verdict-cache shard locks). Checking builds
+// (inc_mu and the history-cache shard locks). Checking builds
 // (Debug/sanitizer trees, CQA_LOCK_RANK) abort with both acquisition
 // stacks on any out-of-order acquisition.
 
@@ -111,7 +112,7 @@ struct ServiceOptions {
   /// Attach falsifying-repair witnesses to non-certain reports (backends
   /// without Explain still report no witness).
   bool explain_non_certain = true;
-  /// Solve registered databases through the per-component verdict cache
+  /// Solve registered databases through per-component verdicts
   /// (two-atom queries only; others always take the full-solve path).
   /// Costs one component partition per (database, query) pair up front;
   /// pays off as soon as the database mutates between solves.
@@ -119,13 +120,13 @@ struct ServiceOptions {
 
   // -- Memory & concurrency knobs (see the header comment) ------------
 
-  /// Bounds for each incremental solver's per-component verdict cache
-  /// (0 = unbounded on that axis). The entry cap rounds up to a multiple
-  /// of IncrementalSolver::kNumShards. Size it above the database's
-  /// expected component count: a cap below it turns the steady-state
-  /// round-robin over components into LRU cycle-thrash where every solve
-  /// re-solves everything (~100 bytes/verdict, so the default costs at
-  /// most a few MB per database/query pair).
+  /// Bounds for each incremental solver's history cache: verdicts of
+  /// component contents that are no longer live, kept so reverted
+  /// content, recovery and compaction re-use them instead of re-solving
+  /// (0 = unbounded on that axis; live components hold their verdicts
+  /// outside it). The entry cap rounds up to a multiple of
+  /// IncrementalSolver::kNumShards (~100 bytes/verdict, so the default
+  /// costs at most a few MB per database/query pair).
   CacheOptions verdict_cache{/*max_entries=*/65536, /*max_bytes=*/0};
   /// Keep per-component warm SAT sessions alive across mutations: with a
   /// session-capable backend (currently "sat"), each incremental solver
@@ -146,7 +147,7 @@ struct ServiceOptions {
   CdclOptions sat_cdcl;
   /// Bounds for the per-database map of incremental solvers (one per
   /// distinct compiled query ever solved incrementally against it).
-  /// Evicting a solver drops its component partition and verdict cache;
+  /// Evicting a solver drops its component partition and verdicts;
   /// the next solve of that query rebuilds them from the current state.
   CacheOptions solver_cache{/*max_entries=*/64, /*max_bytes=*/0};
   /// Bounds for the service-wide map of compiled queries (keyed by
@@ -163,10 +164,6 @@ struct ServiceOptions {
   /// Never auto-compact below this many slots (churn on tiny databases
   /// isn't worth the remap traffic).
   std::size_t compact_min_slots = 256;
-  /// Benchmark baseline: take the per-database lock exclusively for every
-  /// incremental solve (the pre-sharding PR 3 behavior) instead of
-  /// running cache-filling solves in parallel under the shared lock.
-  bool exclusive_lock_baseline = false;
 
   // -- Durability (src/store) -----------------------------------------
 
@@ -218,8 +215,9 @@ struct ServiceStats {
     std::uint64_t compactions = 0;
     /// API layer: the LRU map of per-query incremental solvers.
     CacheCounters solvers;
-    /// Engine layer: per-component verdict caches, summed over this
-    /// database's live solvers.
+    /// Engine layer: history caches of retired component verdicts, summed
+    /// over this database's live solvers. Only dirty components look them
+    /// up, so hits + misses count lookups, not solves.
     CacheCounters verdicts;
     /// SAT layer: cumulative warm-session CDCL counters (decisions,
     /// conflicts, learned kept/deleted, restarts, warm re-solves, clauses
@@ -503,8 +501,8 @@ class Service {
     mutable std::atomic<bool> prepared_ready{false};
     // Structure lock: mutations and compactions (which patch the
     // database, its preparation, and the component partitions) are
-    // exclusive; every solve — including cache-filling incremental
-    // solves, which coordinate through the verdict cache's component
+    // exclusive; every solve — including incremental solves that fill
+    // dirty components, which coordinate through the history cache's
     // shard locks — is shared. Rank kDbEntry: below the registry lock,
     // above the solver-map and shard locks.
     mutable RankedSharedMutex<LockRank::kDbEntry> structure;
@@ -559,7 +557,7 @@ class Service {
   /// The on-disk directory of a database name under durability.data_dir.
   std::string DbDir(std::string_view name) const;
 
-  /// Exports every live solver's verdict cache (plus still-unclaimed
+  /// Exports every live solver's verdicts (plus still-unclaimed
   /// recovered verdicts) keyed by solver cache key, for WriteSnapshot.
   /// Caller holds the structure lock.
   store::PersistedVerdictMap ExportAllVerdicts(DbEntry& entry) const;

@@ -7,6 +7,7 @@
 #include "algo/components.h"
 #include "algo/dynamic_components.h"
 #include "base/hash.h"
+#include "query/eval.h"
 #include "query/query.h"
 
 namespace cqa {
@@ -387,6 +388,60 @@ AuditReport AuditComponents(const ConjunctiveQuery& q,
                   ? "alive fact " + IdStr(f) + " is in no component"
                   : "tombstoned fact " + IdStr(f) + " is in a component");
   }
+  // -- Partner index vs a fresh matching of the alive facts ------------
+  // Every alive fact matching an atom sits exactly once in that atom's
+  // index, in the chain of its own signature hash; nothing else does.
+  {
+    RelationBinding binding(q, db);
+    std::vector<ElementId> mu(q.NumVars(), kUnassigned);
+    for (int atom = 0; atom < 2; ++atom) {
+      const QueryAtom& qa = q.atoms()[atom];
+      std::string name = "atom " + std::to_string(atom);
+      auto matches = [&](FactId f) {
+        FactRef fact = db.fact(f);
+        if (fact.relation != binding.Resolve(qa.relation)) return false;
+        std::fill(mu.begin(), mu.end(), kUnassigned);
+        return ExtendMatch(qa, fact, &mu);
+      };
+      const std::vector<FactId>& next = components.chain_next_[atom];
+      CQA_AUDIT(&report, next.size() == db.NumFacts(), "partner-index",
+                name + " chain links cover " + IdStr(next.size()) +
+                    " ids for " + IdStr(db.NumFacts()) + " fact slots");
+      if (next.size() != db.NumFacts()) continue;
+      std::vector<std::uint32_t> seen(db.NumFacts(), 0);
+      for (const auto& [hash, head] : components.chain_head_[atom]) {
+        std::size_t steps = 0;
+        for (FactId g = head; g != Database::kNoFact; g = next[g]) {
+          if (g >= db.NumFacts() || ++steps > db.NumFacts()) {
+            report.Add("partner-index", name + " chain " + IdStr(hash) +
+                                            " is cyclic or leaves the slots");
+            ++report.checks;
+            break;
+          }
+          ++seen[g];
+          bool member = db.alive(g) && matches(g);
+          CQA_AUDIT(&report, member, "partner-index",
+                    name + " chain holds fact " + IdStr(g) +
+                        ", which is dead or does not match the atom");
+          if (member) {
+            CQA_AUDIT(&report,
+                      components.SignatureHash(atom, db.fact(g)) == hash,
+                      "partner-index",
+                      name + " fact " + IdStr(g) +
+                          " sits in the chain of another signature");
+          }
+        }
+      }
+      for (FactId f = 0; f < db.NumFacts(); ++f) {
+        std::uint32_t expected = db.alive(f) && matches(f) ? 1 : 0;
+        if (seen[f] == 0 && expected == 0) continue;
+        CQA_AUDIT(&report, seen[f] == expected, "partner-index",
+                  name + " index holds fact " + IdStr(f) + " " +
+                      IdStr(seen[f]) + " times, expected " + IdStr(expected));
+      }
+    }
+  }
+
   if (!report.ok()) return report;  // Partition compare needs sane members.
 
   // -- Equality with a fresh q-connected repartition --------------------

@@ -1,13 +1,15 @@
 // Deep cross-structure invariant auditing.
 //
-// The columnar fact store keeps five structures consistent by hand-rolled
+// The columnar fact store keeps its structures consistent by hand-rolled
 // delta protocols (FactIdRemap / ApplyInsert / ApplyRemove): the argument
 // arena + slot columns, the content index, the block partition + key
-// index, the PreparedDatabase per-relation indexes, and the
-// DynamicComponents union-find partition. Each protocol is O(1)-ish and
-// therefore easy to get subtly wrong in ways no single query notices —
-// a stale key-index entry only misroutes the *next* insert with that key;
-// a split component only changes answers when the two halves disagree.
+// index, the PreparedDatabase per-relation indexes, the
+// DynamicComponents union-find partition and partner index, and the
+// engine's per-component verdicts with their certain count. Each
+// protocol is O(1)-ish and therefore easy to get subtly wrong in ways no
+// single query notices — a stale key-index entry only misroutes the
+// *next* insert with that key; a split component only changes answers
+// when the two halves disagree.
 //
 // The auditors here re-derive every one of those structures from first
 // principles and report each disagreement as a structured violation:
@@ -20,15 +22,22 @@
 //                    position index vs a fresh scan of the database.
 //   AuditComponents  union-find structure, member lists, fingerprints,
 //                    and min_member vs a freshly recomputed q-connected
-//                    partition (algo/components.h).
+//                    partition (algo/components.h); the partner index vs
+//                    a fresh signature bucketing of the alive facts.
+//
+// IncrementalSolver::AuditInto (engine/incremental.h) adds the engine
+// layer: every attached verdict vs a from-scratch backend run of its
+// component, the certain count vs the attached verdicts, and the history
+// cache's LRU invariants.
 //
 // The functions are friends of the structures they audit, so they check
 // the real internals (the position index, the union-find parents, the
 // hash buckets) and not just the public views. They take no locks: the
 // caller must hold whatever exclusion normally guards the structures
 // (cqa::Service::AuditDatabase runs them under the per-database structure
-// lock). Cost is O(n log n) plus one fresh component partition — debug
-// and test tooling, not a production path.
+// lock). Cost is O(n log n) plus one fresh component partition (and,
+// through AuditInto, one backend run per solved component) — debug and
+// test tooling, not a production path.
 //
 // Wired in: the metamorphic/incremental/compaction/soak suites audit
 // after mutation batches, the fuzz/ mutation harness audits after every
@@ -53,7 +62,8 @@ class DynamicComponents;
 /// One invariant that does not hold: which structure broke and how.
 struct AuditViolation {
   std::string structure;  ///< "arena", "slots", "content-index", "blocks",
-                          ///< "key-index", "prepared", "components", "lru".
+                          ///< "key-index", "prepared", "components",
+                          ///< "partner-index", "verdicts", "lru".
   std::string message;    ///< Human-readable pinpoint (ids, offsets, keys).
 };
 
@@ -94,7 +104,8 @@ AuditReport AuditDatabase(const Database& db);
 AuditReport AuditPrepared(const PreparedDatabase& pdb);
 
 /// Audits a DynamicComponents partition: internal consistency (union-find
-/// roots, member lists, fingerprints, min_member) and equality with the
+/// roots, member lists, fingerprints, min_member), the partner index
+/// against a fresh bucketing of the alive facts, and equality with the
 /// freshly recomputed q-connected partition of the current database.
 AuditReport AuditComponents(const ConjunctiveQuery& q,
                             const PreparedDatabase& pdb,

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <optional>
 #include <shared_mutex>
+#include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "base/check.h"
@@ -42,6 +44,8 @@ IncrementalSolver::IncrementalSolver(const CertainSolver& solver,
         LruCache<ComponentFingerprint, std::shared_ptr<const CachedVerdict>,
                  ComponentFingerprintHash>(per_shard);
   }
+  // Every initial component is dirty: list them all as unsolved.
+  (void)SettleLocked();
 }
 
 void IncrementalSolver::Enqueue(FactId f, bool insert) {
@@ -49,7 +53,7 @@ void IncrementalSolver::Enqueue(FactId f, bool insert) {
   pending_count_.store(pending_.size(), std::memory_order_release);
 }
 
-void IncrementalSolver::FlushPendingLocked() const {
+std::size_t IncrementalSolver::SettleLocked() const {
   for (const PendingDelta& delta : pending_) {
     if (delta.insert) {
       components_.OnInsert(delta.id);
@@ -59,15 +63,49 @@ void IncrementalSolver::FlushPendingLocked() const {
   }
   pending_.clear();
   pending_count_.store(0, std::memory_order_release);
+
+  DynamicComponents::DirtyLog dirty = components_.TakeDirty();
+  std::size_t evictions = 0;
+  for (DynamicComponents::RetiredVerdict& retired : dirty.retired) {
+    if (retired.verdict->certain) certain_count_.fetch_sub(1);
+    Shard& shard = ShardFor(retired.fingerprint);
+    std::lock_guard lock(shard.mu);
+    std::size_t bytes = VerdictBytes(*retired.verdict);
+    evictions += shard.cache.Insert(retired.fingerprint,
+                                    std::move(retired.verdict), bytes);
+  }
+
+  // Keep the listed and newly dirtied roots that are still live and
+  // still lack a verdict, ordered by (min_member, root) and deduplicated.
+  const auto& live = components_.components();
+  std::vector<std::pair<FactId, FactId>> listed;
+  listed.reserve(unsolved_.size() + dirty.roots.size());
+  auto keep = [&](FactId root) {
+    auto it = live.find(root);
+    if (it != live.end() && it->second.verdict == nullptr) {
+      listed.emplace_back(it->second.min_member, root);
+    }
+  };
+  for (FactId root : unsolved_) keep(root);
+  for (FactId root : dirty.roots) keep(root);
+  std::sort(listed.begin(), listed.end());
+  listed.erase(std::unique(listed.begin(), listed.end()), listed.end());
+  unsolved_.clear();
+  for (const auto& [min_member, root] : listed) unsolved_.push_back(root);
+  unsolved_filled_.store(false);
+  return evictions;
 }
 
-void IncrementalSolver::FlushPending() const {
-  if (pending_count_.load(std::memory_order_acquire) == 0) return;
+std::size_t IncrementalSolver::Settle() const {
+  if (pending_count_.load(std::memory_order_acquire) == 0 &&
+      !unsolved_filled_.load()) {
+    return 0;
+  }
   std::unique_lock lock(components_mu_);
-  // No re-check needed for correctness (flushing an empty queue is a
-  // no-op), but racing flushers both seeing nonzero is common enough
-  // that the second pass over an already-empty vector is the cheap path.
-  FlushPendingLocked();
+  // No re-check needed for correctness (settling twice is a no-op), but
+  // racing settlers both seeing work is common enough that the second
+  // pass over an already-settled state is the cheap path.
+  return SettleLocked();
 }
 
 void IncrementalSolver::ApplyRemap(const FactIdRemap& remap) {
@@ -79,6 +117,11 @@ void IncrementalSolver::ApplyRemap(const FactIdRemap& remap) {
                   "ApplyRemap with queued deltas (FlushPending before "
                   "Database::Compact)");
     components_.ApplyRemap(remap);
+    // Listed roots are live components' roots, hence alive facts.
+    for (FactId& root : unsolved_) {
+      root = remap.Apply(root);
+      CQA_CHECK(root != Database::kNoFact);
+    }
   }
   if (session_ != nullptr) {
     std::lock_guard lock(session_mu_);
@@ -123,17 +166,33 @@ CacheCounters IncrementalSolver::VerdictCacheCounters() const {
 std::vector<store::PersistedVerdict> IncrementalSolver::ExportVerdicts()
     const {
   std::vector<store::PersistedVerdict> out;
+  auto add = [&out](const ComponentFingerprint& fp,
+                    const CachedVerdict& verdict) {
+    store::PersistedVerdict p;
+    p.fingerprint = fp;
+    p.certain = verdict.certain;
+    p.has_witness = verdict.has_witness;
+    p.witness_facts = verdict.witness_facts;
+    out.push_back(std::move(p));
+  };
+  std::unordered_set<ComponentFingerprint, ComponentFingerprintHash> live;
+  {
+    std::shared_lock lock(components_mu_);
+    for (const auto& [root, comp] : components_.components()) {
+      // Attached verdicts are written under the shard lock.
+      std::lock_guard shard_lock(ShardFor(comp.fingerprint).mu);
+      if (comp.verdict == nullptr) continue;
+      if (live.insert(comp.fingerprint).second) {
+        add(comp.fingerprint, *comp.verdict);
+      }
+    }
+  }
   for (const Shard& shard : shards_) {
     std::lock_guard lock(shard.mu);
     shard.cache.ForEach(
         [&](const ComponentFingerprint& fp,
             const std::shared_ptr<const CachedVerdict>& verdict) {
-          store::PersistedVerdict p;
-          p.fingerprint = fp;
-          p.certain = verdict->certain;
-          p.has_witness = verdict->has_witness;
-          p.witness_facts = verdict->witness_facts;
-          out.push_back(std::move(p));
+          if (live.count(fp) == 0) add(fp, *verdict);
         });
   }
   return out;
@@ -155,50 +214,87 @@ void IncrementalSolver::ImportVerdicts(
 
 void IncrementalSolver::AuditInto(AuditReport& report) const {
   {
-    // Exclusive: the audit drains the delta queue and then compares the
-    // settled partition against a fresh repartition; a concurrent solve's
-    // flush must not interleave.
+    // Exclusive: the audit settles the delta queue and then compares the
+    // settled partition and its verdicts against fresh re-derivations; a
+    // concurrent solve's flush or fill must not interleave.
     std::unique_lock lock(components_mu_);
-    FlushPendingLocked();
-    report.Merge(AuditComponents(solver_->query(), *pdb_, components_));
+    (void)SettleLocked();
+    AuditReport partition =
+        AuditComponents(solver_->query(), *pdb_, components_);
+    bool sane = partition.ok();
+    report.Merge(partition);
+    // Re-solving needs sane member lists.
+    if (sane) {
+      auto check = [&report](bool ok, const std::string& message) {
+        ++report.checks;
+        if (!ok) report.Add("verdicts", message);
+      };
+      std::unordered_set<FactId> listed(unsolved_.begin(), unsolved_.end());
+      std::size_t certain = 0;
+      for (const auto& [root, comp] : components_.components()) {
+        std::string name = "component " + std::to_string(root);
+        if (comp.verdict == nullptr) {
+          check(listed.count(root) != 0,
+                name + " has no verdict and is not listed unsolved");
+          continue;
+        }
+        check(listed.count(root) == 0,
+              name + " has a verdict but is listed unsolved");
+        if (comp.verdict->certain) ++certain;
+        check(!(comp.verdict->certain && comp.verdict->has_witness),
+              name + " is certain yet carries a falsifying witness");
+        bool fresh = SolveMaterialized(comp.members, false).certain;
+        check(fresh == comp.verdict->certain,
+              name + " has attached verdict certain=" +
+                  std::to_string(comp.verdict->certain) +
+                  ", a fresh backend run says " + std::to_string(fresh));
+      }
+      std::size_t counted = certain_count_.load();
+      check(counted == certain,
+            "certain count is " + std::to_string(counted) + " but " +
+                std::to_string(certain) +
+                " live components hold a certain verdict");
+    }
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& shard = shards_[i];
     std::lock_guard lock(shard.mu);
     report.checks += 4;  // The four LRU invariant families below.
     shard.cache.AuditInvariants([&](const std::string& message) {
-      report.Add("lru", "verdict shard " + std::to_string(i) + ": " + message);
+      report.Add("lru", "history shard " + std::to_string(i) + ": " + message);
     });
   }
 }
 
-IncrementalSolver::CachedVerdict IncrementalSolver::SolveComponent(
+CachedVerdict IncrementalSolver::SolveComponent(
     const std::vector<FactId>& members, bool want_witness) const {
-  const Database& db = pdb_->db();
-
   // Warm path: the backend session solves the component in place over the
   // parent database, reusing a per-component incremental solver. The
   // session lock (rank kSolverInternal) nests under this call's
-  // verdict-shard lock.
-  if (session_ != nullptr) {
-    bool explain = want_witness && solver_->backend().CanExplain();
-    ComponentVerdict v;
-    {
-      std::lock_guard lock(session_mu_);
-      v = session_->SolveComponent(*pdb_, members, explain);
-    }
-    CachedVerdict verdict;
-    verdict.certain = v.certain;
-    if (!v.certain && explain) {
-      verdict.has_witness = true;
-      verdict.witness_facts.reserve(v.witness.size());
-      for (FactId f : v.witness) {
-        verdict.witness_facts.push_back(db.MaterializeFact(f));
-      }
-    }
-    return verdict;
+  // history-shard lock.
+  if (session_ == nullptr) return SolveMaterialized(members, want_witness);
+  bool explain = want_witness && solver_->backend().CanExplain();
+  ComponentVerdict v;
+  {
+    std::lock_guard lock(session_mu_);
+    v = session_->SolveComponent(*pdb_, members, explain);
   }
+  CachedVerdict verdict;
+  verdict.certain = v.certain;
+  if (!v.certain && explain) {
+    const Database& db = pdb_->db();
+    verdict.has_witness = true;
+    verdict.witness_facts.reserve(v.witness.size());
+    for (FactId f : v.witness) {
+      verdict.witness_facts.push_back(db.MaterializeFact(f));
+    }
+  }
+  return verdict;
+}
 
+CachedVerdict IncrementalSolver::SolveMaterialized(
+    const std::vector<FactId>& members, bool want_witness) const {
+  const Database& db = pdb_->db();
   // Materialize the component as its own database, re-interning element
   // names so blocks and solutions are preserved verbatim (the shape
   // QConnectedComponents uses). Sorting keeps the sub-database — and so
@@ -243,6 +339,42 @@ IncrementalSolver::CachedVerdict IncrementalSolver::SolveComponent(
   return verdict;
 }
 
+std::shared_ptr<const CachedVerdict> IncrementalSolver::Fill(
+    FactId root, const DynamicComponents::Component& comp, bool want_witness,
+    std::uint64_t* resolved) const {
+  // A verdict solved without a witness cannot serve a solve that needs
+  // one; re-solve to attach it.
+  bool can_explain = want_witness && solver_->backend().CanExplain();
+  auto usable = [can_explain](const CachedVerdict& v) {
+    return !can_explain || v.certain || v.has_witness;
+  };
+  // The shard lock is held across the backend run: a concurrent solver
+  // of the same component blocks here and then finds the attached
+  // verdict, so no backend run is duplicated; components on other shards
+  // proceed in parallel.
+  Shard& shard = ShardFor(comp.fingerprint);
+  std::lock_guard lock(shard.mu);
+  std::shared_ptr<const CachedVerdict> attached = comp.verdict;
+  if (attached != nullptr && usable(*attached)) return attached;
+  // A present-but-unusable history entry is a miss to us (the backend
+  // will run), so count usability, not mere presence.
+  auto* hit = shard.cache.Find(comp.fingerprint, /*count=*/false);
+  bool served = hit != nullptr && usable(**hit);
+  shard.cache.CountLookup(served);
+  std::shared_ptr<const CachedVerdict> verdict;
+  if (served) {
+    verdict = *hit;
+  } else {
+    verdict = std::make_shared<const CachedVerdict>(
+        SolveComponent(comp.members, want_witness));
+    ++*resolved;
+  }
+  if (attached != nullptr && attached->certain) certain_count_.fetch_sub(1);
+  if (verdict->certain) certain_count_.fetch_add(1);
+  components_.SetVerdict(root, verdict);
+  return verdict;
+}
+
 SolveReport IncrementalSolver::Solve(bool want_witness) const {
   const Database& db = pdb_->db();
   const Classification& classification = solver_->classification();
@@ -262,74 +394,27 @@ SolveReport IncrementalSolver::Solve(bool want_witness) const {
 
   // Settle the partition, then read it shared: deltas queued by earlier
   // mutations are drained here (exclusive, serialized against other
-  // flushers), and the shared hold across both cache passes below keeps
-  // the partition stable while concurrent solves proceed. No new delta
-  // can arrive mid-solve — enqueues need the exclusive structure lock the
-  // caller of Solve holds shared.
-  FlushPending();
+  // settlers), and the shared hold below keeps the partition and the
+  // unsolved list stable while concurrent solves fill in parallel. No
+  // new delta can arrive mid-solve — enqueues need the exclusive
+  // structure lock the caller of Solve holds shared.
+  report.cache_evictions = Settle();
   std::shared_lock components_lock(components_mu_);
+  const auto& live = components_.components();
+  report.components_total = live.size();
 
-  // A verdict cached by a witness-less solve cannot serve a solve that
-  // needs the witness; re-solve to attach it.
-  auto usable = [can_explain](const CachedVerdict& v) {
-    return !can_explain || v.certain || v.has_witness;
-  };
-
-  report.components_total = components_.NumComponents();
-  // shared_ptr copies: a hit never deep-copies witness tuples, and the
-  // verdict stays alive even if a concurrent solve's insert evicts its
-  // cache entry before the merge below reads it.
-  std::vector<std::shared_ptr<const CachedVerdict>> verdicts;
-  verdicts.reserve(report.components_total);
-  // First pass, unsorted (the OR and the witness merge below are
-  // order-independent): serve cache hits, collect the misses. Only the
-  // misses are sorted — by smallest member id, so repeated cache-filling
-  // solves of identical content run backends in the same order — keeping
-  // the fully-cached steady state free of the O(C log C) sort.
-  std::vector<const DynamicComponents::Component*> misses;
-  for (const auto& [root, comp] : components_.components()) {
-    Shard& shard = ShardFor(comp.fingerprint);
-    std::lock_guard lock(shard.mu);
-    // A present-but-unusable verdict is a miss to us (the backend will
-    // re-run), so count usability, not mere presence.
-    auto* hit = shard.cache.Find(comp.fingerprint, /*count=*/false);
-    bool served = hit != nullptr && usable(**hit);
-    shard.cache.CountLookup(served);
-    if (served) {
-      ++report.components_cached;
-      verdicts.push_back(*hit);
-    } else {
-      misses.push_back(&comp);
-    }
+  // Only dirty components lack a verdict; every solve walks the whole
+  // list, so by the time it reads the count every listed component has
+  // one (attached by this solve or, under the same shard lock, by a
+  // concurrent one).
+  std::uint64_t resolved = 0;
+  for (FactId root : unsolved_) {
+    (void)Fill(root, live.at(root), want_witness, &resolved);
   }
-  std::sort(misses.begin(), misses.end(),
-            [](const DynamicComponents::Component* a,
-               const DynamicComponents::Component* b) {
-              return a->min_member < b->min_member;
-            });
-  for (const DynamicComponents::Component* comp : misses) {
-    // The shard lock is held across the backend run: a concurrent solver
-    // of the same component blocks here and then finds the hit, so no
-    // backend run is duplicated; components on other shards proceed in
-    // parallel. The re-probe is the same logical lookup as the first
-    // pass's, so it stays out of the hit/miss counters.
-    Shard& shard = ShardFor(comp->fingerprint);
-    std::lock_guard lock(shard.mu);
-    auto* hit = shard.cache.Find(comp->fingerprint, /*count=*/false);
-    if (hit != nullptr && usable(**hit)) {
-      ++report.components_cached;
-      verdicts.push_back(*hit);
-      continue;
-    }
-    auto fresh = std::make_shared<const CachedVerdict>(
-        SolveComponent(comp->members, want_witness));
-    report.cache_evictions +=
-        shard.cache.Insert(comp->fingerprint, fresh, VerdictBytes(*fresh));
-    ++report.components_resolved;
-    verdicts.push_back(std::move(fresh));
+  if (!unsolved_.empty()) {
+    unsolved_filled_.store(true);
   }
-  bool certain = false;
-  for (const auto& verdict : verdicts) certain = certain || verdict->certain;
+  bool certain = certain_count_.load() > 0;
   report.certain = certain;
 
   // Merge the per-component falsifying repairs into one whole-database
@@ -340,7 +425,9 @@ SolveReport IncrementalSolver::Solve(bool want_witness) const {
     std::vector<std::uint32_t> choice(blocks.size(), 0);
     std::vector<char> covered(blocks.size(), 0);
     bool complete = true;
-    for (const std::shared_ptr<const CachedVerdict>& verdict : verdicts) {
+    for (const auto& [root, comp] : live) {
+      std::shared_ptr<const CachedVerdict> verdict =
+          Fill(root, comp, want_witness, &resolved);
       CQA_CHECK(verdict->has_witness);
       for (const Fact& fact : verdict->witness_facts) {
         FactId id = db.FindFact(fact);
@@ -356,6 +443,8 @@ SolveReport IncrementalSolver::Solve(bool want_witness) const {
     CQA_CHECK_MSG(complete, "component witnesses left a block unassigned");
     report.witness = Repair(&db, std::move(choice));
   }
+  report.components_resolved = resolved;
+  report.components_cached = report.components_total - resolved;
 
   if (session_ != nullptr) {
     report.sat_warm = true;

@@ -88,17 +88,17 @@ SolutionSet ComputeSolutions(const ConjunctiveQuery& q,
 SolutionSet ComputeSolutions(const ConjunctiveQuery& q, const Database& db);
 
 /// Solutions of q restricted to an explicit subset of (alive) facts: the
-/// same hash join, scanning only `facts`. Incremental component
-/// maintenance uses this to re-partition one q-connected component after
-/// a deletion without touching the rest of the database.
+/// same hash join, scanning only `facts`. The warm SAT session encodes
+/// one q-connected component with it without touching the rest of the
+/// database.
 SolutionSet ComputeSolutionsAmong(const ConjunctiveQuery& q,
                                   const Database& db,
                                   const std::vector<FactId>& facts);
 
 /// All alive facts g with D |= q{f g} (including g == f when q(f f)),
-/// for a two-atom query. Scans the two atom relations' prepared indexes;
-/// incremental component maintenance probes this for a newly inserted
-/// fact instead of recomputing the full solution set.
+/// for a two-atom query. Scans the two atom relations' prepared indexes:
+/// the brute-force reference for DynamicComponents::Partners, which
+/// answers from its signature index instead.
 std::vector<FactId> SolutionPartners(const ConjunctiveQuery& q,
                                      const RelationBinding& binding,
                                      const PreparedDatabase& pdb, FactId f);

@@ -19,11 +19,14 @@
 #include "data/audit.h"
 #include "data/database.h"
 #include "data/prepared.h"
+#include "engine/incremental.h"
+#include "engine/solver.h"
 #include "query/query.h"
 
 namespace cqa {
 
-// Friend of Database, PreparedDatabase, and DynamicComponents: plants one
+// Friend of Database, PreparedDatabase, DynamicComponents, and
+// IncrementalSolver: plants one
 // precise inconsistency per method, leaving everything else intact so a
 // report naming the corrupted structure is evidence of pinpointing, not
 // of cascade.
@@ -112,6 +115,40 @@ class TestCorruptor {
   static void CorruptFingerprint(DynamicComponents& comps) {
     ASSERT_FALSE(comps.components_.empty());
     comps.components_.begin()->second.fingerprint.sum ^= 1;
+  }
+
+  /// The head of one atom-0 partner chain is unlinked (a botched
+  /// IndexAdd): later inserts would miss it as a solution partner.
+  static void DropPartnerIndexEntry(DynamicComponents& comps) {
+    auto& heads = comps.chain_head_[0];
+    ASSERT_FALSE(heads.empty());
+    auto it = heads.begin();
+    FactId dropped = it->second;
+    FactId next = comps.chain_next_[0][dropped];
+    if (next == Database::kNoFact) {
+      heads.erase(it);
+    } else {
+      it->second = next;
+    }
+    comps.chain_next_[0][dropped] = Database::kNoFact;
+  }
+
+  /// The maintained count of certain components drifts by one.
+  static void BumpCertainCount(IncrementalSolver& solver) {
+    solver.certain_count_.fetch_add(1);
+  }
+
+  /// One live component keeps a verdict its content no longer has — the
+  /// stale verdict a missed dirty mark would leave behind.
+  static void FlipAttachedVerdict(IncrementalSolver& solver) {
+    for (auto& [root, comp] : solver.components_.components_) {
+      if (comp.verdict == nullptr) continue;
+      CachedVerdict flipped;
+      flipped.certain = !comp.verdict->certain;
+      comp.verdict = std::make_shared<const CachedVerdict>(flipped);
+      return;
+    }
+    FAIL() << "no component with an attached verdict";
   }
 };
 
@@ -239,6 +276,60 @@ TEST(AuditTest, StaleFingerprintIsPinpointed) {
   AuditReport report = AuditComponents(w.q, w.pdb, w.comps);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.Names("components")) << report.ToString();
+}
+
+TEST(AuditTest, DroppedPartnerIndexEntryIsPinpointed) {
+  World w;
+  TestCorruptor::DropPartnerIndexEntry(w.comps);
+  AuditReport report = AuditComponents(w.q, w.pdb, w.comps);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.Names("partner-index")) << report.ToString();
+  // The partition itself is still right; only the index lost a fact.
+  EXPECT_FALSE(report.Names("components")) << report.ToString();
+}
+
+// An incremental solver over the World database, solved once so every
+// component carries a verdict and the certain count is live.
+struct SolverWorld {
+  World w;
+  CertainSolver solver;
+  IncrementalSolver inc;
+
+  SolverWorld()
+      : solver(std::move(CertainSolver::Create(w.q)).value()),
+        inc(solver, w.pdb) {
+    (void)inc.Solve(/*want_witness=*/false);
+  }
+
+  AuditReport Audit() const {
+    AuditReport report;
+    inc.AuditInto(report);
+    return report;
+  }
+};
+
+TEST(AuditTest, SolverWithVerdictsAuditsClean) {
+  SolverWorld s;
+  AuditReport report = s.Audit();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_GT(report.checks, 50u);
+}
+
+TEST(AuditTest, WrongCertainCountIsPinpointed) {
+  SolverWorld s;
+  TestCorruptor::BumpCertainCount(s.inc);
+  AuditReport report = s.Audit();
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.Names("verdicts")) << report.ToString();
+  EXPECT_FALSE(report.Names("components")) << report.ToString();
+}
+
+TEST(AuditTest, StaleAttachedVerdictIsPinpointed) {
+  SolverWorld s;
+  TestCorruptor::FlipAttachedVerdict(s.inc);
+  AuditReport report = s.Audit();
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.Names("verdicts")) << report.ToString();
 }
 
 TEST(AuditTest, ReportMergeAndOverflowAccounting) {

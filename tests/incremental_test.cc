@@ -457,6 +457,71 @@ TEST(IncrementalSolverTest, UntouchedComponentsAreCached) {
   EXPECT_EQ(restored->components_resolved, 0u);
 }
 
+// The non-witness hot path is O(dirty components): after a warm solve, a
+// one-fact delta plus a solve looks up the history cache once per dirty
+// component, never once per component. No timing: the lookup counters
+// are the evidence.
+TEST(IncrementalSolverTest, DeltaSolveLooksUpOnlyDirtyComponents) {
+  ConjunctiveQuery q = ParseQuery("R(x | y) R(y | z)");
+  StatusOr<CertainSolver> solver = CertainSolver::Create(q);
+  ASSERT_TRUE(solver.ok());
+  const int kComponents = 300;
+  Database db(q.schema());
+  for (int i = 0; i < kComponents; ++i) {
+    std::string n = std::to_string(i);
+    db.AddFactNamed(0, {"a" + n, "b" + n});
+    db.AddFactNamed(0, {"a" + n, "c" + n});
+  }
+  PreparedDatabase pdb(db);
+  IncrementalSolver inc(*solver, pdb);
+  auto lookups = [&inc] {
+    CacheCounters c = inc.VerdictCacheCounters();
+    return c.hits + c.misses;
+  };
+
+  SolveReport warm = inc.Solve(/*want_witness=*/false);
+  ASSERT_EQ(warm.components_total, static_cast<std::uint64_t>(kComponents));
+  EXPECT_EQ(warm.components_resolved, warm.components_total);
+
+  // Nothing changed: no lookup at all.
+  std::uint64_t before = lookups();
+  SolveReport again = inc.Solve(false);
+  EXPECT_EQ(lookups(), before);
+  EXPECT_EQ(again.components_resolved, 0u);
+  EXPECT_EQ(again.components_cached, again.components_total);
+
+  // R(b7 | d) joins component 7 (R(a7 | b7) R(b7 | d) is a solution):
+  // exactly one component is dirty.
+  FactId inserted = db.AddFactNamed(0, {"b7", "d"});
+  pdb.ApplyInsert(inserted);
+  inc.OnInsert(inserted);
+  before = lookups();
+  SolveReport delta = inc.Solve(false);
+  EXPECT_LE(lookups() - before, 1u);
+  EXPECT_EQ(delta.components_total, static_cast<std::uint64_t>(kComponents));
+  EXPECT_EQ(delta.components_resolved, 1u);
+  EXPECT_EQ(delta.components_cached + delta.components_resolved,
+            delta.components_total);
+  EXPECT_EQ(delta.certain, warm.certain);
+
+  // Deleting it restores component 7's old content: one lookup, a history
+  // hit, no backend run.
+  Database::RemovedFact removed = db.RemoveFact(inserted);
+  pdb.ApplyRemove(inserted, removed);
+  inc.OnRemove(inserted);
+  before = lookups();
+  CacheCounters hits_before = inc.VerdictCacheCounters();
+  SolveReport restored = inc.Solve(false);
+  EXPECT_LE(lookups() - before, 1u);
+  EXPECT_EQ(inc.VerdictCacheCounters().hits, hits_before.hits + 1);
+  EXPECT_EQ(restored.components_resolved, 0u);
+  EXPECT_EQ(restored.components_cached, restored.components_total);
+
+  AuditReport audit;
+  inc.AuditInto(audit);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+}
+
 // ---------------------------------------------------------------------
 // Warm per-component SAT sessions vs the materialized cold path.
 // ---------------------------------------------------------------------
