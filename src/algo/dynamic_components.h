@@ -21,10 +21,9 @@
 // fact) of the known facts matching that atom, kept current by
 // OnInsert/OnRemove/ApplyRemap. A probe walks one chain per atom the
 // fact matches and compares signatures exactly, so hash collisions cost
-// a comparison, never a wrong partner. Partners() exposes the probe; it
-// returns what the brute-force SolutionPartners (query/eval.h) returns,
-// over the facts this partition knows. The index costs 8 bytes per fact
-// slot plus one map node per distinct signature.
+// a comparison, never a wrong partner. Partners() exposes the probe, over
+// the facts this partition knows. The index costs 8 bytes per fact slot
+// plus one map node per distinct signature.
 //
 // Dirty log. Every component a delta creates or changes is logged by
 // root, and any verdict attached to a component whose content changes or
@@ -155,9 +154,9 @@ class DynamicComponents {
   void ApplyRemap(const FactIdRemap& remap);
 
   /// All alive known facts g with D |= q{f g}, including g == f when
-  /// q(f f), and a g twice when both q(f g) and q(g f) hold — the
-  /// multiset SolutionPartners returns. One chain walk per atom f
-  /// matches; facts tombstoned by deltas not yet absorbed are skipped.
+  /// q(f f), and a g twice when both q(f g) and q(g f) hold. One chain
+  /// walk per atom f matches; facts tombstoned by deltas not yet absorbed
+  /// are skipped.
   std::vector<FactId> Partners(FactId f) const;
 
   /// Drains the dirty log.

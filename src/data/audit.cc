@@ -1,6 +1,7 @@
 #include "data/audit.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -158,6 +159,12 @@ AuditReport AuditDatabase(const Database& db) {
     const Block& block = blocks[b];
     CQA_AUDIT(&report, !block.facts.empty(), "blocks",
               "block " + IdStr(b) + " is empty");
+    // In-place block diffs (reduction/sat_reduction.h) rely on it.
+    CQA_AUDIT(&report,
+              std::adjacent_find(block.facts.begin(), block.facts.end(),
+                                 std::greater_equal<>()) == block.facts.end(),
+              "blocks",
+              "block " + IdStr(b) + " fact list is not strictly ascending");
     for (FactId f : block.facts) {
       if (f >= n) {
         report.Add("blocks", "block " + IdStr(b) + " holds out-of-range fact " +

@@ -17,7 +17,8 @@
 //   AuditDatabase    arena offsets monotone + dense, slot columns
 //                    parallel, alive counts vs tombstones, content index
 //                    <-> arena agreement (both directions), block
-//                    partition <-> key index <-> per-fact block mapping.
+//                    partition <-> key index <-> per-fact block mapping,
+//                    every block's fact list strictly ascending.
 //   AuditPrepared    per-relation fact/block indexes and the per-fact
 //                    position index vs a fresh scan of the database.
 //   AuditComponents  union-find structure, member lists, fingerprints,
@@ -27,8 +28,9 @@
 //
 // IncrementalSolver::AuditInto (engine/incremental.h) adds the engine
 // layer: every attached verdict vs a from-scratch backend run of its
-// component, the certain count vs the attached verdicts, and the history
-// cache's LRU invariants.
+// component, the certain count vs the attached verdicts, the history
+// cache's LRU invariants, and the warm session's retained state (each
+// live SAT falsifier's solution clauses vs a brute-force join).
 //
 // The functions are friends of the structures they audit, so they check
 // the real internals (the position index, the union-find parents, the
@@ -63,7 +65,8 @@ class DynamicComponents;
 struct AuditViolation {
   std::string structure;  ///< "arena", "slots", "content-index", "blocks",
                           ///< "key-index", "prepared", "components",
-                          ///< "partner-index", "verdicts", "lru".
+                          ///< "partner-index", "verdicts", "lru",
+                          ///< "sat-session".
   std::string message;    ///< Human-readable pinpoint (ids, offsets, keys).
 };
 

@@ -49,7 +49,9 @@ namespace cqa {
 struct Block {
   RelationId relation = 0;
   std::vector<ElementId> key;   ///< Key tuple shared by all facts.
-  std::vector<FactId> facts;    ///< Members, in insertion order.
+  /// Members in insertion order, i.e. ascending (ids are append-only,
+  /// RemoveFact erases in place, Compact's remap is monotone).
+  std::vector<FactId> facts;
 };
 
 /// Non-owning view of a fact's key prefix: the same span type as a fact's

@@ -30,6 +30,9 @@
 
 namespace cqa {
 
+struct AuditReport;       // data/audit.h
+class DynamicComponents;  // algo/dynamic_components.h
+
 /// Which algorithm actually answered.
 enum class SolverAlgorithm {
   kTrivialScan,
@@ -76,11 +79,14 @@ class ComponentSession {
  public:
   virtual ~ComponentSession() = default;
 
-  /// Decides certainty of the component `members` (whole blocks of
-  /// pdb.db()). Repeated calls across mutations of the same database are
-  /// the point; results must equal the backend's Solve/Explain on the
-  /// materialized component.
+  /// Decides certainty of the component `members` of `components`, the
+  /// settled (every delta absorbed) q-connected partition of pdb.db(),
+  /// whose partner index a session may probe for facts it has not seen.
+  /// Repeated calls across mutations of the same database are the point;
+  /// results must equal the backend's Solve/Explain on the materialized
+  /// component, whatever earlier solves left in the session.
   virtual ComponentVerdict SolveComponent(const PreparedDatabase& pdb,
+                                          const DynamicComponents& components,
                                           const std::vector<FactId>& members,
                                           bool want_witness) = 0;
 
@@ -94,6 +100,11 @@ class ComponentSession {
 
   /// Counters of the session's warm-solver cache.
   virtual CacheCounters CacheStats() const = 0;
+
+  /// Deep-audits the session's retained state against pdb.db() into
+  /// `report` (data/audit.h).
+  virtual void AuditInto(const PreparedDatabase& pdb,
+                         AuditReport& report) const = 0;
 };
 
 /// One certain-answer algorithm behind a uniform prepare/solve interface.

@@ -122,10 +122,10 @@ class ExhaustiveBackend : public TwoAtomBackend {
 /// IncrementalFalsifier instances, one per component lineage, keyed by a
 /// content *anchor* — the (relation, key) hash of the smallest member's
 /// block. Element ids are immutable and block keys survive compaction, so
-/// the anchor is stable where fact ids are not; and because every
-/// falsifier re-diffs against the exact current membership on each solve,
-/// a wrong pairing (component merged, split, or anchor hash collision)
-/// costs only warmth, never correctness.
+/// the anchor is stable where fact ids are not; and because a falsifier's
+/// encoding is exact for whatever component it is handed (see its class
+/// comment), a wrong pairing (component merged, split, or anchor hash
+/// collision) costs only warmth, never correctness.
 class SatSession : public ComponentSession {
  public:
   SatSession(ConjunctiveQuery query, const CacheOptions& cache_options,
@@ -135,6 +135,7 @@ class SatSession : public ComponentSession {
         solver_options_(solver_options) {}
 
   ComponentVerdict SolveComponent(const PreparedDatabase& pdb,
+                                  const DynamicComponents& components,
                                   const std::vector<FactId>& members,
                                   bool want_witness) override {
     const Database& db = pdb.db();
@@ -146,10 +147,11 @@ class SatSession : public ComponentSession {
     if (std::shared_ptr<IncrementalFalsifier>* hit = cache_.Find(anchor)) {
       falsifier = *hit;
     } else {
-      falsifier = std::make_shared<IncrementalFalsifier>(query_, solver_options_);
+      falsifier = std::make_shared<IncrementalFalsifier>(solver_options_);
     }
-    IncrementalFalsifier::Verdict v =
-        falsifier->SolveComponent(pdb, members, want_witness);
+    ComponentVerdict v;
+    v.certain = falsifier->SolveComponent(pdb, components, members,
+                                          want_witness ? &v.witness : nullptr);
     // (Re-)insert with a fresh byte estimate; salvage the counters of any
     // solver the insertion evicts so session stats stay cumulative.
     cache_.InsertWithEvictions(
@@ -158,7 +160,7 @@ class SatSession : public ComponentSession {
                const std::shared_ptr<IncrementalFalsifier>& evicted) {
           retired_ += evicted->stats();
         });
-    return ComponentVerdict{v.certain, std::move(v.witness)};
+    return v;
   }
 
   void ApplyRemap(const FactIdRemap& remap) override {
@@ -180,6 +182,15 @@ class SatSession : public ComponentSession {
 
   CacheCounters CacheStats() const override { return cache_.Counters(); }
 
+  void AuditInto(const PreparedDatabase& pdb,
+                 AuditReport& report) const override {
+    SolutionSet solutions = ComputeSolutions(query_, pdb);
+    cache_.ForEach([&](const std::size_t&,
+                       const std::shared_ptr<IncrementalFalsifier>& f) {
+      f->AuditInto(solutions, pdb, report);
+    });
+  }
+
  private:
   ConjunctiveQuery query_;
   LruCache<std::size_t, std::shared_ptr<IncrementalFalsifier>> cache_;
@@ -192,9 +203,7 @@ class SatBackend : public TwoAtomBackend {
   std::string_view name() const override { return "sat"; }
   SolverAlgorithm algorithm() const override { return SolverAlgorithm::kSat; }
   bool Solve(const PreparedDatabase& pdb) const override {
-    SolutionSet solutions = ComputeSolutions(query(), pdb);
-    CnfFormula falsifier = EncodeFalsifierCnf(solutions, pdb);
-    return !SolveCdcl(falsifier).satisfiable;
+    return !Explain(pdb).has_value();
   }
   bool CanExplain() const override { return true; }
   std::optional<Repair> Explain(const PreparedDatabase& pdb) const override {
@@ -208,16 +217,12 @@ class SatBackend : public TwoAtomBackend {
     // EncodeFalsifierCnf), so any such restriction is a falsifying repair.
     std::vector<std::uint32_t> choice(pdb.blocks().size(), 0);
     for (BlockId b = 0; b < pdb.blocks().size(); ++b) {
-      const Block& block = pdb.blocks()[b];
-      bool found = false;
-      for (std::uint32_t idx = 0; idx < block.facts.size(); ++idx) {
-        if (sat.assignment[block.facts[idx]]) {
-          choice[b] = idx;
-          found = true;
-          break;
-        }
-      }
-      CQA_CHECK_MSG(found, "satisfying assignment misses a block");
+      const std::vector<FactId>& facts = pdb.blocks()[b].facts;
+      auto chosen = std::find_if(facts.begin(), facts.end(),
+                                 [&sat](FactId f) { return sat.assignment[f]; });
+      CQA_CHECK_MSG(chosen != facts.end(),
+                    "satisfying assignment misses a block");
+      choice[b] = static_cast<std::uint32_t>(chosen - facts.begin());
     }
     return Repair(&pdb.db(), std::move(choice));
   }

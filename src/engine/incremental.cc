@@ -254,6 +254,10 @@ void IncrementalSolver::AuditInto(AuditReport& report) const {
             "certain count is " + std::to_string(counted) + " but " +
                 std::to_string(certain) +
                 " live components hold a certain verdict");
+      if (session_ != nullptr) {
+        std::lock_guard session_lock(session_mu_);
+        session_->AuditInto(*pdb_, report);
+      }
     }
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -277,7 +281,7 @@ CachedVerdict IncrementalSolver::SolveComponent(
   ComponentVerdict v;
   {
     std::lock_guard lock(session_mu_);
-    v = session_->SolveComponent(*pdb_, members, explain);
+    v = session_->SolveComponent(*pdb_, components_, members, explain);
   }
   CachedVerdict verdict;
   verdict.certain = v.certain;

@@ -180,9 +180,11 @@ class IncrementalSolver {
   /// the component partition and partner index against a fresh
   /// re-derivation, every attached verdict against a from-scratch backend
   /// run of its component, the certain count and unsolved list against
-  /// the attached verdicts, and every history shard's LRU invariants
-  /// (taken one shard lock at a time). Requires the caller to exclude
-  /// mutators, like Solve.
+  /// the attached verdicts, the warm session's retained state (for the
+  /// sat backend: every live falsifier's solution clauses against a
+  /// brute-force join), and every history shard's LRU invariants (taken
+  /// one shard lock at a time). Requires the caller to exclude mutators,
+  /// like Solve.
   void AuditInto(AuditReport& report) const;
 
   static constexpr std::size_t kNumShards = 16;

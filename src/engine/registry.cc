@@ -13,10 +13,6 @@ std::unique_ptr<CertainBackend> BackendRegistry::Create(
   return it->second(options);
 }
 
-bool BackendRegistry::Has(std::string_view name) const {
-  return factories_.find(name) != factories_.end();
-}
-
 std::vector<std::string> BackendRegistry::Names() const {
   std::vector<std::string> names;
   names.reserve(factories_.size());

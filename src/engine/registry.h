@@ -37,8 +37,6 @@ class BackendRegistry {
   std::unique_ptr<CertainBackend> Create(
       std::string_view name, const BackendOptions& options = {}) const;
 
-  bool Has(std::string_view name) const;
-
   /// Registered names in lexicographic order.
   std::vector<std::string> Names() const;
 

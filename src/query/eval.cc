@@ -180,49 +180,6 @@ SolutionSet ComputeSolutions(const ConjunctiveQuery& q, const Database& db) {
   return JoinSolutions(q, db, a_facts, b_facts);
 }
 
-SolutionSet ComputeSolutionsAmong(const ConjunctiveQuery& q,
-                                  const Database& db,
-                                  const std::vector<FactId>& facts) {
-  CQA_CHECK(q.NumAtoms() == 2);
-  RelationBinding binding(q, db);
-  RelationId rel_a = binding.Resolve(q.atoms()[0].relation);
-  RelationId rel_b = binding.Resolve(q.atoms()[1].relation);
-  std::vector<FactId> a_facts;
-  std::vector<FactId> b_facts;
-  for (FactId f : facts) {
-    CQA_DCHECK(db.alive(f));
-    RelationId rel = db.fact(f).relation;
-    if (rel == rel_a) a_facts.push_back(f);
-    if (rel == rel_b) b_facts.push_back(f);
-  }
-  return JoinSolutions(q, db, a_facts, b_facts);
-}
-
-std::vector<FactId> SolutionPartners(const ConjunctiveQuery& q,
-                                     const RelationBinding& binding,
-                                     const PreparedDatabase& pdb, FactId f) {
-  CQA_CHECK(q.NumAtoms() == 2);
-  const Database& db = pdb.db();
-  FactRef fact = db.fact(f);
-  std::vector<FactId> partners;
-  std::vector<ElementId> base(q.NumVars(), kUnassigned);
-  std::vector<ElementId> mu(q.NumVars(), kUnassigned);
-  // f as atom 0 joined with every atom-1 candidate, then the mirror.
-  for (int side = 0; side < 2; ++side) {
-    const QueryAtom& f_atom = q.atoms()[side];
-    const QueryAtom& g_atom = q.atoms()[1 - side];
-    if (fact.relation != binding.Resolve(f_atom.relation)) continue;
-    std::fill(base.begin(), base.end(), kUnassigned);
-    if (!ExtendMatch(f_atom, fact, &base)) continue;
-    for (FactId g : pdb.FactsOf(binding.Resolve(g_atom.relation))) {
-      if (side == 1 && g == f) continue;  // q(f f) already seen as side 0.
-      mu = base;
-      if (ExtendMatch(g_atom, db.fact(g), &mu)) partners.push_back(g);
-    }
-  }
-  return partners;
-}
-
 namespace {
 
 bool SatisfiesRec(const ConjunctiveQuery& q,

@@ -87,22 +87,6 @@ SolutionSet ComputeSolutions(const ConjunctiveQuery& q,
 /// indexing pass); batch callers should prepare once and reuse.
 SolutionSet ComputeSolutions(const ConjunctiveQuery& q, const Database& db);
 
-/// Solutions of q restricted to an explicit subset of (alive) facts: the
-/// same hash join, scanning only `facts`. The warm SAT session encodes
-/// one q-connected component with it without touching the rest of the
-/// database.
-SolutionSet ComputeSolutionsAmong(const ConjunctiveQuery& q,
-                                  const Database& db,
-                                  const std::vector<FactId>& facts);
-
-/// All alive facts g with D |= q{f g} (including g == f when q(f f)),
-/// for a two-atom query. Scans the two atom relations' prepared indexes:
-/// the brute-force reference for DynamicComponents::Partners, which
-/// answers from its signature index instead.
-std::vector<FactId> SolutionPartners(const ConjunctiveQuery& q,
-                                     const RelationBinding& binding,
-                                     const PreparedDatabase& pdb, FactId f);
-
 /// General conjunctive-query satisfaction over an explicit set of facts
 /// (e.g. a repair). Backtracking join; exponential only in the number of
 /// atoms, which is fixed.

@@ -204,119 +204,129 @@ CnfFormula EncodeFalsifierCnf(const SolutionSet& solutions,
   return f;
 }
 
-IncrementalFalsifier::IncrementalFalsifier(const ConjunctiveQuery& q,
-                                           CdclOptions options)
-    : q_(&q), solver_(options) {}
+IncrementalFalsifier::IncrementalFalsifier(CdclOptions options)
+    : solver_(options) {}
 
-std::uint32_t IncrementalFalsifier::VarOf(FactId f) {
-  auto it = fact_var_.find(f);
-  if (it != fact_var_.end()) return it->second;
-  std::uint32_t var = solver_.AddVars(1);
-  fact_var_.emplace(f, var);
-  return var;
-}
-
-IncrementalFalsifier::Verdict IncrementalFalsifier::SolveComponent(
-    const PreparedDatabase& pdb, const std::vector<FactId>& members,
-    bool want_witness) {
-  const Database& db = pdb.db();
-
-  // The component is a union of whole blocks (Prop 10.6 decomposition);
-  // visit them in ascending-min-member order so clause insertion — and
-  // with it the solver's search bias — is independent of union-find
-  // history.
-  std::vector<FactId> ordered = members;
-  std::sort(ordered.begin(), ordered.end());
-  std::vector<BlockId> block_ids;
-  {
-    std::unordered_set<BlockId> seen;
-    seen.reserve(ordered.size());
-    for (FactId f : ordered) {
-      CQA_DCHECK(db.alive(f));
-      BlockId b = pdb.BlockOf(f);
-      if (seen.insert(b).second) block_ids.push_back(b);
+IncrementalFalsifier::BlockState& IncrementalFalsifier::StateOf(
+    const Block& block) {
+  KeyView key{block.key.data(), static_cast<std::uint32_t>(block.key.size())};
+  std::size_t hash = HashRelationKey(block.relation, key);
+  auto [first, last] = blocks_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (it->second.relation == block.relation && it->second.key == block.key) {
+      return it->second;
     }
   }
+  return blocks_.emplace(hash, BlockState{block.relation, block.key, {}, kNoVar})
+      ->second;
+}
+
+bool IncrementalFalsifier::SolveComponent(const PreparedDatabase& pdb,
+                                          const DynamicComponents& components,
+                                          const std::vector<FactId>& members,
+                                          std::vector<FactId>* witness) {
+  const std::vector<Block>& blocks = pdb.blocks();
+  // Whole blocks (Prop 10.6), each first met at its first fact, visited by
+  // min member so the solver's search bias ignores union-find history.
+  visit_.clear();
+  for (FactId f : members) {
+    BlockId b = pdb.BlockOf(f);
+    if (blocks[b].facts.front() == f) visit_.push_back(b);
+  }
+  std::sort(visit_.begin(), visit_.end(), [&blocks](BlockId a, BlockId b) {
+    return blocks[a].facts.front() < blocks[b].facts.front();
+  });
 
   // Diff each block against its last encoded version. A changed block
   // retires the old activation variable for good (permanent unit ~act)
   // and re-encodes under a fresh one; vanished facts are pinned false.
-  std::vector<Literal> assumptions;
-  assumptions.reserve(block_ids.size());
-  for (BlockId b : block_ids) {
-    const Block& block = pdb.blocks()[b];
-    std::vector<FactId> current = block.facts;
-    std::sort(current.begin(), current.end());
-
-    BlockKey key{block.relation, block.key};
-    auto [it, inserted] = blocks_.emplace(std::move(key), BlockState{});
-    BlockState& state = it->second;
-    if (!inserted && state.members == current) {
-      assumptions.push_back(Literal{state.act_var, true});
-      continue;
-    }
-    if (!inserted && !state.members.empty()) {
+  assumptions_.clear();
+  fresh_.clear();
+  for (BlockId b : visit_) {
+    const Block& block = blocks[b];
+    BlockState& state = StateOf(block);
+    if (state.act_var != kNoVar) {
+      if (state.members == block.facts) {
+        assumptions_.push_back(Literal{state.act_var, true});
+        continue;
+      }
       solver_.AddClause({Literal{state.act_var, false}});
       solver_.NoteRetraction(1);
       for (FactId old : state.members) {
-        if (!std::binary_search(current.begin(), current.end(), old)) {
-          solver_.AddClause({Literal{VarOf(old), false}});
+        if (!std::binary_search(block.facts.begin(), block.facts.end(), old)) {
+          solver_.AddClause({Literal{fact_var_.at(old), false}});
         }
       }
     }
     std::uint32_t act = solver_.AddVars(1);
-    Clause at_least_one;
-    at_least_one.reserve(current.size() + 1);
-    at_least_one.push_back(Literal{act, false});
-    for (FactId f : current) at_least_one.push_back(Literal{VarOf(f), true});
-    solver_.AddClause(at_least_one);
-    state.members = std::move(current);
+    clause_.assign(1, Literal{act, false});
+    for (FactId f : block.facts) {
+      auto [it, fresh] = fact_var_.try_emplace(f, 0);
+      if (fresh) {
+        it->second = solver_.AddVars(1);
+        fresh_.push_back(f);
+      }
+      clause_.push_back(Literal{it->second, true});
+    }
+    solver_.AddClause(clause_);
+    state.members = block.facts;
     state.act_var = act;
-    assumptions.push_back(Literal{act, true});
+    assumptions_.push_back(Literal{act, true});
   }
 
-  // Solution structure among the current members. Pair and self clauses
-  // are permanent — a solution depends only on the two immutable tuples —
-  // so only the ones not yet added go in.
-  SolutionSet solutions = ComputeSolutionsAmong(*q_, db, members);
-  for (FactId f : members) {
-    if (solutions.self[f]) solver_.AddClause({Literal{VarOf(f), false}});
-  }
-  for (const auto& [a, b] : solutions.pairs) {
-    if (a == b || pdb.BlockOf(a) == pdb.BlockOf(b)) continue;
-    std::uint32_t va = VarOf(a), vb = VarOf(b);
-    std::uint64_t key = (static_cast<std::uint64_t>(std::min(va, vb)) << 32) |
-                        std::max(va, vb);
-    if (!pair_clauses_.insert(key).second) continue;
-    solver_.AddClause({Literal{va, false}, Literal{vb, false}});
+  // Solution clauses of fresh facts (the class comment's invariant covers
+  // the rest); same-block pairs are skipped, as in EncodeFalsifierCnf.
+  for (FactId f : fresh_) {
+    std::uint32_t vf = fact_var_.at(f);
+    for (FactId g : components.Partners(f)) {
+      if (g != f && pdb.BlockOf(g) == pdb.BlockOf(f)) continue;
+      std::uint32_t vg = fact_var_.at(g);  // g is a member too.
+      if (!pair_clauses_.insert(PairKey(vf, vg)).second) continue;
+      if (vf == vg) {
+        solver_.AddClause({Literal{vf, false}});
+      } else {
+        solver_.AddClause({Literal{vf, false}, Literal{vg, false}});
+      }
+    }
   }
 
   // Every permanent clause is satisfied by the all-false assignment, so
   // the solver can never become unconditionally unsatisfiable.
   CQA_CHECK(solver_.ok());
-
-  Verdict verdict;
-  bool sat = solver_.SolveUnderAssumptions(assumptions);
-  verdict.certain = !sat;
-  if (sat && want_witness) {
+  bool sat = solver_.SolveUnderAssumptions(assumptions_);
+  if (sat && witness != nullptr) {
     // Restricting the model to one chosen fact per block keeps it
     // solution-free (same argument as EncodeFalsifierCnf), so the chosen
     // set is a falsifying repair of the component.
-    verdict.witness.reserve(block_ids.size());
-    for (BlockId b : block_ids) {
-      FactId chosen = Database::kNoFact;
-      for (FactId f : pdb.blocks()[b].facts) {
-        if (solver_.ValueOf(fact_var_.at(f))) {
-          chosen = f;
-          break;
-        }
-      }
-      CQA_CHECK_MSG(chosen != Database::kNoFact,
+    witness->clear();
+    for (BlockId b : visit_) {
+      const std::vector<FactId>& facts = blocks[b].facts;
+      auto chosen = std::find_if(facts.begin(), facts.end(), [&](FactId f) {
+        return solver_.ValueOf(fact_var_.at(f));
+      });
+      CQA_CHECK_MSG(chosen != facts.end(),
                     "activated block has no selected fact in the model");
-      verdict.witness.push_back(chosen);
+      witness->push_back(*chosen);
     }
   }
-  return verdict;
+  return !sat;
+}
+
+void IncrementalFalsifier::AuditInto(const SolutionSet& solutions,
+                                     const PreparedDatabase& pdb,
+                                     AuditReport& report) const {
+  for (const auto& [a, b] : solutions.pairs) {
+    auto ia = fact_var_.find(a);
+    auto ib = fact_var_.find(b);
+    if (ia == fact_var_.end() || ib == fact_var_.end()) continue;
+    if (a != b && pdb.BlockOf(a) == pdb.BlockOf(b)) continue;
+    ++report.checks;
+    if (pair_clauses_.count(PairKey(ia->second, ib->second)) == 0) {
+      report.Add("sat-session",
+                 "solution (" + std::to_string(a) + ", " + std::to_string(b) +
+                     ") between encoded facts has no clause");
+    }
+  }
 }
 
 void IncrementalFalsifier::ApplyRemap(const FactIdRemap& remap) {
@@ -336,7 +346,7 @@ void IncrementalFalsifier::ApplyRemap(const FactIdRemap& remap) {
   fact_var_.swap(next);
 
   // Member lists stay sorted: the remap is monotone on survivors.
-  for (auto& [key, state] : blocks_) {
+  for (auto& [hash, state] : blocks_) {
     std::size_t keep = 0;
     for (FactId m : state.members) {
       FactId nid = remap.Apply(m);
@@ -352,9 +362,9 @@ std::size_t IncrementalFalsifier::MemoryEstimateBytes() const {
   bytes += solver_.num_vars() * 32;  // Per-var solver columns, roughly.
   bytes += fact_var_.size() * (sizeof(FactId) + sizeof(std::uint32_t) + 16);
   bytes += pair_clauses_.size() * (sizeof(std::uint64_t) + 16);
-  for (const auto& [key, state] : blocks_) {
-    bytes += sizeof(BlockKey) + sizeof(BlockState) +
-             key.key.size() * sizeof(ElementId) +
+  for (const auto& [hash, state] : blocks_) {
+    bytes += sizeof(hash) + sizeof(BlockState) +
+             state.key.size() * sizeof(ElementId) +
              state.members.size() * sizeof(FactId);
   }
   return bytes;

@@ -18,6 +18,7 @@
 #ifndef CQA_REDUCTION_SAT_REDUCTION_H_
 #define CQA_REDUCTION_SAT_REDUCTION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
@@ -25,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include "algo/dynamic_components.h"
+#include "data/audit.h"
 #include "data/database.h"
 #include "data/prepared.h"
 #include "query/eval.h"
@@ -69,7 +72,8 @@ CnfFormula EncodeFalsifierCnf(const SolutionSet& solutions,
 
 /// Incremental falsifier search over a persistent CdclSolver: the warm
 /// counterpart of EncodeFalsifierCnf + SolveCdcl for repeated solves of a
-/// mutating q-connected component.
+/// mutating q-connected component, paying for what changed since this
+/// instance last saw the component rather than for the component.
 ///
 /// Encoding: one solver variable per fact (allocated on first sight,
 /// never freed) plus one *activation* variable per encoded block version.
@@ -80,44 +84,60 @@ CnfFormula EncodeFalsifierCnf(const SolutionSet& solutions,
 /// solution pairs get permanent clauses (~x_a v ~x_b). Pair and unit
 /// clauses are *globally* true statements about immutable fact tuples, so
 /// they — and every clause the solver learns from them — stay valid
-/// forever. Only the membership clauses are versioned: when a diff against
-/// the block's exact current members shows a change, the old version is
-/// retracted for good with the unit `~act_old` and the block is re-encoded
-/// under a fresh activation variable. Everything learned over the
-/// unchanged prefix survives.
+/// forever. Only the membership clauses are versioned: when a block's
+/// fact list differs from its encoded version, the old version is retired
+/// for good with the unit `~act_old` and the block is re-encoded under a
+/// fresh activation variable.
 ///
-/// Because every solve diffs against the exact current membership and
-/// assumes exactly the current component's activation variables,
-/// correctness never depends on which component this instance is paired
-/// with — solver reuse is purely a performance heuristic, so the engine's
-/// anchor-keyed cache can be wrong (after merges, splits, evictions) and
-/// still gets the right verdict.
+/// Block::facts is ascending (data/database.h): a block is diffed in
+/// place, and first met at its first fact, so blocks are visited in
+/// ascending-min-member order (independent of union-find history).
+///
+/// Solution clauses. Only a *fresh* fact — one that gets its variable in
+/// this solve — asks the settled partition's partner index
+/// (DynamicComponents::Partners) for its partners; they lie in the same
+/// component, so they hold variables by then. Invariant: every solution
+/// pair between alive facts holding variables here is encoded. Tuples
+/// are immutable and fact ids never come back to life, so when the later
+/// of two alive facts got its variable, the earlier one was alive and in
+/// the settled partition, and the later one's probe returned it.
+/// Compaction renames ids but keeps variables. AuditInto re-checks the
+/// invariant against a brute-force join.
+///
+/// Each solve diffs against the exact current membership and assumes
+/// exactly the current blocks' activations, and the invariant holds for
+/// any facts with variables, so correctness never depends on which
+/// component this instance is paired with (anchor collision, merge or
+/// split): reuse is purely a performance heuristic.
 ///
 /// Not thread-safe; the engine serializes access per instance under
 /// LockRank::kSolverInternal.
 class IncrementalFalsifier {
  public:
-  explicit IncrementalFalsifier(const ConjunctiveQuery& q,
-                                CdclOptions options = CdclOptions());
+  explicit IncrementalFalsifier(CdclOptions options = CdclOptions());
 
-  struct Verdict {
-    bool certain = false;
-    /// When not certain and a witness was requested: one chosen fact per
-    /// component block (parent-database ids), jointly a falsifying
-    /// repair of the component.
-    std::vector<FactId> witness;
-  };
-
-  /// Decides certainty of the component `members` (whole blocks of
-  /// pdb.db()). Callable any number of times as the database mutates
-  /// between calls; fact ids must be stable since the last ApplyRemap.
-  Verdict SolveComponent(const PreparedDatabase& pdb,
-                         const std::vector<FactId>& members,
-                         bool want_witness);
+  /// True iff the component `members` of `components`, the settled
+  /// q-connected partition of pdb.db() (no queued deltas), is certain. When
+  /// `witness` is non-null and the component is not certain, fills it
+  /// with one chosen fact per component block (parent-database ids),
+  /// jointly a falsifying repair of the component. Callable any number of
+  /// times as the database mutates between calls; fact ids must be stable
+  /// since the last ApplyRemap.
+  bool SolveComponent(const PreparedDatabase& pdb,
+                      const DynamicComponents& components,
+                      const std::vector<FactId>& members,
+                      std::vector<FactId>* witness);
 
   /// Mirrors a Database::Compact: rewrites every held FactId. Ids that
   /// vanished (tombstones reclaimed) have their variables pinned false.
   void ApplyRemap(const FactIdRemap& remap);
+
+  /// Checks the encoding invariant into `report` (structure
+  /// "sat-session"): every pair of `solutions` (the brute-force solutions
+  /// of pdb.db(), self-solutions included) whose facts both hold a
+  /// variable here has its clause, unless the two are blockmates.
+  void AuditInto(const SolutionSet& solutions, const PreparedDatabase& pdb,
+                 AuditReport& report) const;
 
   /// Cumulative solver counters (solves, warm_solves, learned_kept,
   /// clauses_retracted, ...).
@@ -127,35 +147,39 @@ class IncrementalFalsifier {
   std::size_t MemoryEstimateBytes() const;
 
  private:
-  struct BlockKey {
+  // audit_test drops a pair clause record to plant an invariant breach.
+  friend class TestCorruptor;
+
+  static constexpr std::uint32_t kNoVar = 0xffffffffu;
+
+  struct BlockState {
     RelationId relation = 0;
     std::vector<ElementId> key;
-    bool operator==(const BlockKey& o) const {
-      return relation == o.relation && key == o.key;
-    }
-  };
-  struct BlockKeyHash {
-    std::size_t operator()(const BlockKey& k) const {
-      return HashRelationKey(
-          k.relation,
-          KeyView{k.key.data(), static_cast<std::uint32_t>(k.key.size())});
-    }
-  };
-  struct BlockState {
-    std::vector<FactId> members;  ///< Sorted, as last encoded.
-    std::uint32_t act_var = 0;
+    std::vector<FactId> members;  ///< Ascending, as last encoded.
+    std::uint32_t act_var = kNoVar;  ///< kNoVar until first encoded.
   };
 
-  /// Solver variable of fact `f`, allocated on first request.
-  std::uint32_t VarOf(FactId f);
+  /// The state of `block`, created unencoded on first sight.
+  BlockState& StateOf(const Block& block);
 
-  const ConjunctiveQuery* q_;
+  /// Key of solution pair {va, vb} in pair_clauses_.
+  static std::uint64_t PairKey(std::uint32_t va, std::uint32_t vb) {
+    return (std::uint64_t{std::min(va, vb)} << 32) | std::max(va, vb);
+  }
+
   CdclSolver solver_;
   std::unordered_map<FactId, std::uint32_t> fact_var_;
-  std::unordered_map<BlockKey, BlockState, BlockKeyHash> blocks_;
-  /// Cross-block pair clauses already added, keyed by solver-variable
-  /// pair (stable across compactions, unlike fact ids).
+  /// Block states by HashRelationKey (collisions compare the key).
+  std::unordered_multimap<std::size_t, BlockState> blocks_;
+  /// Solution clauses already added, keyed by solver-variable pair
+  /// (stable across compactions, unlike fact ids); (v, v) for a
+  /// self-solution unit.
   std::unordered_set<std::uint64_t> pair_clauses_;
+  /// Per-solve scratch, kept for its capacity.
+  std::vector<BlockId> visit_;
+  std::vector<FactId> fresh_;
+  std::vector<Literal> assumptions_;
+  Clause clause_;
 };
 
 }  // namespace cqa

@@ -22,7 +22,6 @@ struct Literal {
   bool operator==(const Literal& o) const {
     return var == o.var && positive == o.positive;
   }
-  Literal Negated() const { return Literal{var, !positive}; }
 };
 
 /// A clause is a disjunction of literals.

@@ -188,7 +188,7 @@ StatusOr<DecodedSnapshot> DecodeSnapshot(std::string_view bytes) {
     if (!alive_col[f]) db.RemoveFact(f);
   }
   if (!reader.AtEnd()) return Corrupt("snapshot: trailing bytes");
-  return std::move(snap);
+  return StatusOr<DecodedSnapshot>(std::move(snap));
 }
 
 std::string EncodeVerdicts(const PersistedVerdictMap& verdicts) {

@@ -228,7 +228,7 @@ StatusOr<DurableStore::OpenResult> DurableStore::Open(const std::string& dir,
   OpenResult result{std::move(store),    std::move(db),
                     last_seq,            snapshot->meta,
                     std::move(verdicts), replayed};
-  return std::move(result);
+  return StatusOr<OpenResult>(std::move(result));
 }
 
 Status DurableStore::AppendBatch(WalRecord::Kind kind,

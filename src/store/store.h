@@ -129,7 +129,6 @@ class DurableStore {
  private:
   DurableStore(std::string dir, const Options& options);
 
-  Status AppendLocked(std::string bytes);
   Status ResetWalLocked();
 
   const std::string dir_;

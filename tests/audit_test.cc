@@ -21,12 +21,14 @@
 #include "data/prepared.h"
 #include "engine/incremental.h"
 #include "engine/solver.h"
+#include "query/eval.h"
 #include "query/query.h"
+#include "reduction/sat_reduction.h"
 
 namespace cqa {
 
-// Friend of Database, PreparedDatabase, DynamicComponents, and
-// IncrementalSolver: plants one
+// Friend of Database, PreparedDatabase, DynamicComponents,
+// IncrementalSolver, and IncrementalFalsifier: plants one
 // precise inconsistency per method, leaving everything else intact so a
 // report naming the corrupted structure is evidence of pinpointing, not
 // of cascade.
@@ -63,6 +65,25 @@ class TestCorruptor {
   /// same-key insert would open a duplicate block.
   static void DropKeyIndexEntry(Database& db, BlockId b) {
     db.EraseBlockIndexEntry(b);
+  }
+
+  /// Two facts of one block trade places, so its fact list is no longer
+  /// ascending — the order the warm SAT falsifier's in-place block diff
+  /// relies on.
+  static void SwapBlockFacts(Database& db) {
+    for (Block& block : db.blocks_) {
+      if (block.facts.size() < 2) continue;
+      std::swap(block.facts[0], block.facts[1]);
+      return;
+    }
+    FAIL() << "no block with two facts";
+  }
+
+  /// A warm falsifier loses the record of one solution clause: the
+  /// footprint of a fresh fact whose partner probe missed a partner.
+  static void DropSolutionClause(IncrementalFalsifier& falsifier) {
+    ASSERT_FALSE(falsifier.pair_clauses_.empty());
+    falsifier.pair_clauses_.erase(falsifier.pair_clauses_.begin());
   }
 
   /// Per-fact block mapping out of step with the partition.
@@ -236,6 +257,14 @@ TEST(AuditTest, MisfiledBlockMappingIsPinpointed) {
   EXPECT_TRUE(report.Names("blocks")) << report.ToString();
 }
 
+TEST(AuditTest, UnorderedBlockFactListIsPinpointed) {
+  World w;
+  TestCorruptor::SwapBlockFacts(w.db);
+  AuditReport report = AuditDatabase(w.db);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.Names("blocks")) << report.ToString();
+}
+
 TEST(AuditTest, CorruptPositionIndexIsPinpointed) {
   World w;
   TestCorruptor::CorruptPosition(w.pdb, 2);
@@ -330,6 +359,63 @@ TEST(AuditTest, StaleAttachedVerdictIsPinpointed) {
   AuditReport report = s.Audit();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.Names("verdicts")) << report.ToString();
+}
+
+// A warm SAT falsifier that has solved every World component.
+struct FalsifierWorld {
+  World w;
+  IncrementalFalsifier falsifier;
+
+  FalsifierWorld() {
+    for (const auto& [root, comp] : w.comps.components()) {
+      (void)falsifier.SolveComponent(w.pdb, w.comps, comp.members,
+                                     /*witness=*/nullptr);
+    }
+  }
+
+  AuditReport Audit() const {
+    AuditReport report;
+    falsifier.AuditInto(ComputeSolutions(w.q, w.pdb), w.pdb, report);
+    return report;
+  }
+};
+
+TEST(AuditTest, WarmFalsifierAuditsClean) {
+  FalsifierWorld f;
+  AuditReport report = f.Audit();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_GT(report.checks, 0u);
+}
+
+TEST(AuditTest, MissingFalsifierSolutionClauseIsPinpointed) {
+  FalsifierWorld f;
+  TestCorruptor::DropSolutionClause(f.falsifier);
+  AuditReport report = f.Audit();
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.Names("sat-session")) << report.ToString();
+}
+
+TEST(AuditTest, SolverAuditCoversWarmSatSessions) {
+  // The same sat-forced solver with and without a warm session: only the
+  // warm one has falsifiers, and its audit checks their clauses too.
+  World w;
+  SolverOptions options;
+  options.forced_backend = "sat";
+  CertainSolver solver =
+      std::move(CertainSolver::Create(w.q, options)).value();
+  IncrementalSolver::SessionOptions no_session;
+  no_session.enabled = false;
+  IncrementalSolver warm(solver, w.pdb);
+  IncrementalSolver cold(solver, w.pdb, CacheOptions{}, no_session);
+  ASSERT_TRUE(warm.has_session());
+  (void)warm.Solve(/*want_witness=*/false);
+  (void)cold.Solve(/*want_witness=*/false);
+  AuditReport warm_report;
+  AuditReport cold_report;
+  warm.AuditInto(warm_report);
+  cold.AuditInto(cold_report);
+  EXPECT_TRUE(warm_report.ok()) << warm_report.ToString();
+  EXPECT_GT(warm_report.checks, cold_report.checks);
 }
 
 TEST(AuditTest, ReportMergeAndOverflowAccounting) {

@@ -288,7 +288,14 @@ TEST(PartnerIndexProperty, ProbesAndPartitionMatchBruteForce) {
       for (FactId f = 0; f < w.db.NumFacts(); ++f) {
         if (!w.db.alive(f)) continue;
         std::vector<FactId> probed = w.comps.Partners(f);
-        std::vector<FactId> scanned = SolutionPartners(q, binding, w.pdb, f);
+        std::vector<FactId> scanned;  // Brute force over directed pairs.
+        for (FactId g = 0; g < w.db.NumFacts(); ++g) {
+          if (!w.db.alive(g)) continue;
+          if (IsSolution(q, binding, w.db, f, g)) scanned.push_back(g);
+          if (g != f && IsSolution(q, binding, w.db, g, f)) {
+            scanned.push_back(g);
+          }
+        }
         std::sort(probed.begin(), probed.end());
         std::sort(scanned.begin(), scanned.end());
         ASSERT_EQ(probed, scanned) << "fact " << f << " " << where;

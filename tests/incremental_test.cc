@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,6 +23,10 @@
 #include "engine/incremental.h"
 #include "gen/workloads.h"
 #include "query/eval.h"
+#include "reduction/sat_reduction.h"
+#include "sat/dpll.h"
+#include "sat/gen.h"
+#include "tripath/search.h"
 
 namespace cqa {
 namespace {
@@ -604,6 +609,226 @@ TEST(IncrementalSolverTest, WarmSatSessionsMatchColdPathOver1000Steps) {
   EXPECT_GT(d.sat_solvers.entries, 0u);
   ServiceStats cold_stats = cold.Stats();
   EXPECT_EQ(cold_stats.databases[0].sat.solves, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Warm SAT sessions vs the cold path on targeted streams: the warm
+// falsifier encodes solution clauses only for facts it has not seen, so
+// these streams aim at the ways a fact can be new to a falsifier.
+// ---------------------------------------------------------------------
+
+/// A warm sat service and a cold one (warm_sat_solvers=false: every
+/// component solve materializes the component and encodes it from
+/// scratch with EncodeFalsifierCnf) fed identical mutations.
+class WarmColdServices {
+ public:
+  explicit WarmColdServices(const char* query_text)
+      : warm_(Options(true)), cold_(Options(false)) {
+    CompileOptions copts;
+    copts.forced_backend = "sat";
+    StatusOr<CompiledQuery> qw = warm_.Compile(query_text, copts);
+    StatusOr<CompiledQuery> qc = cold_.Compile(query_text, copts);
+    CQA_CHECK(qw.ok() && qc.ok());
+    qw_ = std::move(qw).value();
+    qc_ = std::move(qc).value();
+  }
+
+  const ConjunctiveQuery& query() const { return qw_.query(); }
+
+  void Register(const Database& db) {
+    ASSERT_TRUE(warm_.RegisterDatabase("db", db).ok());
+    ASSERT_TRUE(cold_.RegisterDatabase("db", db).ok());
+    Compare("initial state");
+  }
+
+  /// Applies one mutation to both services, then compares their answers.
+  void Step(bool insert, const FactSpec& spec, const std::string& what) {
+    for (Service* s : {&warm_, &cold_}) {
+      Status applied = insert ? s->InsertFacts("db", {spec})
+                              : s->DeleteFacts("db", {spec});
+      ASSERT_TRUE(applied.ok()) << what << ": " << applied.ToString();
+    }
+    Compare(what);
+  }
+
+  /// Forced compaction of the warm side, then a deep audit — which checks
+  /// every live falsifier's solution clauses against a brute-force join —
+  /// and a fresh comparison.
+  void CompactAndAudit(const std::string& what) {
+    ASSERT_TRUE(warm_.CompactDatabase("db").ok());
+    StatusOr<AuditReport> audit = warm_.AuditDatabase("db");
+    ASSERT_TRUE(audit.ok()) << audit.status().ToString();
+    ASSERT_TRUE(audit->ok()) << what << "\n" << audit->ToString();
+    Compare(what);
+  }
+
+  /// Warm-session solver counters of the database.
+  CdclStats WarmSatStats() const { return warm_.Stats().databases.at(0).sat; }
+
+ private:
+  static ServiceOptions Options(bool warm) {
+    ServiceOptions opts;
+    opts.warm_sat_solvers = warm;
+    return opts;
+  }
+
+  void Compare(const std::string& what) {
+    StatusOr<SolveReport> w = warm_.Solve(qw_, "db");
+    StatusOr<SolveReport> c = cold_.Solve(qc_, "db");
+    ASSERT_TRUE(w.ok() && c.ok()) << what;
+    ASSERT_TRUE(w->sat_warm) << what;
+    ASSERT_EQ(w->certain, c->certain) << what;
+    ASSERT_EQ(w->witness.has_value(), c->witness.has_value()) << what;
+    if (w->witness.has_value()) {
+      Status ok = VerifyWitness(query(), *w->witness->database(), *w->witness);
+      ASSERT_TRUE(ok.ok()) << what << ": " << ok.ToString();
+    }
+  }
+
+  Service warm_;
+  Service cold_;
+  CompiledQuery qw_;
+  CompiledQuery qc_;
+};
+
+/// Runs a random mutation stream over `pool` through both services:
+/// deletes (which may split a component), re-inserts of deleted tuples
+/// (a new id, so a fresh variable), back-to-back delete + re-insert of
+/// one tuple, forced compactions, and — when `bridges` — merges: two
+/// facts m, m2 of a new block are inserted and solved as their own
+/// component, then a bridge fact n joins the block of a present fact
+/// and forms solutions with m and m2, merging two solved components so
+/// the falsifier of the merged one meets m and m2 for the first time.
+/// The bridge is later deleted again (a split) and sometimes re-inserted.
+/// For q2 = R(x, u | x, y) R(u, y | x, z) and a present fact with key
+/// (k1, k2): n = (k1, k2, k1, y) matches atom 0, and m = (k2, y, k1, z)
+/// is its atom-1 partner.
+void RunWarmColdStream(WarmColdServices* pair, SpecPool pool, bool bridges,
+                       std::uint64_t seed, int steps) {
+  Rng rng(seed);
+  FactSpec n, m, m2;
+  bool bridged = false;
+  int bridges_built = 0;
+  for (int step = 0; step < steps; ++step) {
+    std::string at = "step " + std::to_string(step);
+    std::uint64_t kind = rng.Below(10);
+    if (bridges && kind >= 8) {
+      if (bridged) {
+        ASSERT_NO_FATAL_FAILURE(pair->Step(false, n, at + " split bridge"));
+        bridged = false;
+      } else if (bridges_built > 0 && rng.Chance(0.5)) {
+        ASSERT_NO_FATAL_FAILURE(pair->Step(true, n, at + " re-bridge"));
+        bridged = true;
+      } else if (!pool.present.empty()) {
+        const FactSpec& host =
+            pool.specs[pool.present[rng.Below(pool.present.size())]];
+        std::string y = "bridge" + std::to_string(bridges_built) + "y";
+        const std::string& k1 = host.args[0];
+        const std::string& k2 = host.args[1];
+        n = FactSpec{"R", {k1, k2, k1, y}};
+        m = FactSpec{"R", {k2, y, k1, y + "z1"}};
+        m2 = FactSpec{"R", {k2, y, k1, y + "z2"}};
+        ++bridges_built;
+        ASSERT_NO_FATAL_FAILURE(pair->Step(true, m, at + " bridge side m"));
+        ASSERT_NO_FATAL_FAILURE(pair->Step(true, m2, at + " bridge side m2"));
+        ASSERT_NO_FATAL_FAILURE(pair->Step(true, n, at + " merge"));
+        bridged = true;
+      }
+    } else if (kind == 7 && !pool.present.empty()) {
+      const FactSpec& spec =
+          pool.specs[pool.present[rng.Below(pool.present.size())]];
+      ASSERT_NO_FATAL_FAILURE(pair->Step(false, spec, at + " delete"));
+      ASSERT_NO_FATAL_FAILURE(pair->Step(true, spec, at + " re-insert"));
+    } else {
+      bool insert = false;
+      const FactSpec& spec = RandomStep(&pool, &rng, &insert);
+      ASSERT_NO_FATAL_FAILURE(pair->Step(insert, spec, at));
+    }
+    if (step % 29 == 28) {
+      ASSERT_NO_FATAL_FAILURE(pair->CompactAndAudit(at + " compaction"));
+    }
+  }
+  if (bridges) {
+    EXPECT_GT(bridges_built, 0);
+  }
+  EXPECT_GT(pair->WarmSatStats().warm_solves, 0u);
+}
+
+/// The facts of one Lemma 9.2 gadget with every element name prefixed, so
+/// gadgets in one database stay disjoint; all present.
+void AddGadget(const SatGadget& gadget, const std::string& prefix,
+               SpecPool* pool) {
+  for (FactId f = 0; f < gadget.db.NumFacts(); ++f) {
+    FactSpec spec = SpecOf(gadget.db, f);
+    for (std::string& arg : spec.args) arg = prefix + arg;
+    pool->present.push_back(pool->specs.size());
+    pool->specs.push_back(std::move(spec));
+  }
+}
+
+/// (a|b)(~a|b)(~b|c)(~c|d)(~c|~d): reduction-ready and unsatisfiable, so
+/// its gadget is certain (Lemma 9.2).
+CnfFormula UnsatReductionReadyFormula() {
+  CnfFormula phi;
+  phi.num_vars = 4;
+  auto lit = [](std::uint32_t v, bool pos) { return Literal{v, pos}; };
+  phi.clauses = {
+      {lit(0, true), lit(1, true)},   {lit(0, false), lit(1, true)},
+      {lit(1, false), lit(2, true)},  {lit(2, false), lit(3, true)},
+      {lit(2, false), lit(3, false)},
+  };
+  return phi;
+}
+
+TEST(WarmSatDifferentialTest, Q2CertainGadgetStreamMatchesColdPath) {
+  // One certain gadget alone, so a wrong "not certain" from a missing
+  // clause decides the whole answer.
+  WarmColdServices pair("R(x, u | x, y) R(u, y | x, z)");
+  std::optional<FoundTripath> fork = FindNiceForkTripath(pair.query());
+  ASSERT_TRUE(fork.has_value());
+  CnfFormula phi = UnsatReductionReadyFormula();
+  ASSERT_FALSE(SolveDpll(phi).satisfiable);
+  SpecPool pool;
+  AddGadget(BuildSatGadget(pair.query(), *fork, phi), "g/", &pool);
+  ASSERT_NO_FATAL_FAILURE(
+      pair.Register(BuildFromSpecs(pair.query().schema(), pool)));
+  RunWarmColdStream(&pair, std::move(pool), /*bridges=*/true, 0x9A2C, 300);
+}
+
+TEST(WarmSatDifferentialTest, Q2FalsifiableGadgetsStreamMatchesColdPath) {
+  // Falsifiable gadgets: every non-certain answer carries a witness
+  // assembled from every component's model, verified fact by fact.
+  WarmColdServices pair("R(x, u | x, y) R(u, y | x, z)");
+  std::optional<FoundTripath> fork = FindNiceForkTripath(pair.query());
+  ASSERT_TRUE(fork.has_value());
+  Rng rng(0x92F);
+  SpecPool pool;
+  AddGadget(BuildSatGadget(pair.query(), *fork, Figure2Formula()), "f/",
+            &pool);
+  AddGadget(BuildSatGadget(pair.query(), *fork,
+                           RandomReductionReady3Sat(4, 6, &rng)),
+            "r/", &pool);
+  ASSERT_NO_FATAL_FAILURE(
+      pair.Register(BuildFromSpecs(pair.query().schema(), pool)));
+  RunWarmColdStream(&pair, std::move(pool), /*bridges=*/true, 0x9A2D, 300);
+}
+
+TEST(WarmSatDifferentialTest, SelfSolutionQueryMatchesColdPath) {
+  // R(a | a) is a self-solution of q3: it can never be in a falsifying
+  // repair, which only its unit clause tells the warm solver.
+  WarmColdServices pair("R(x | y) R(y | z)");
+  SpecPool pool;
+  for (const char* key : {"a", "b", "c"}) {
+    for (const char* value : {"a", "b", "c"}) {
+      pool.absent.push_back(pool.specs.size());
+      pool.specs.push_back(FactSpec{"R", {key, value}});
+    }
+  }
+  pool.absent.erase(pool.absent.begin());  // "a a" starts present.
+  pool.present.push_back(0);
+  ASSERT_NO_FATAL_FAILURE(
+      pair.Register(BuildFromSpecs(pair.query().schema(), pool)));
+  RunWarmColdStream(&pair, std::move(pool), /*bridges=*/false, 0x5E1F, 300);
 }
 
 // ---------------------------------------------------------------------

@@ -430,7 +430,9 @@ TEST(CdclIncremental, AddClauseThenResolveStaysSound) {
       bool fresh = SolveDpll(prefix).satisfiable;
       EXPECT_EQ(solver.Solve(), fresh) << prefix.ToString();
       EXPECT_EQ(solver.ok(), fresh);
-      if (was_unsat) EXPECT_FALSE(accepted);
+      if (was_unsat) {
+        EXPECT_FALSE(accepted);
+      }
       was_unsat = was_unsat || !fresh;
     }
     EXPECT_FALSE(was_unsat ? solver.Solve() : false);
