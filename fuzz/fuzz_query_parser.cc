@@ -9,10 +9,10 @@
 //   - Structural sanity: every atom's variable list matches its
 //     relation's arity, key lengths never exceed arities, and the
 //     variable count respects the parser's 64-variable bound.
-//   - Small two-atom queries additionally go through the classifier via
+//   - Small queries of any atom count additionally go through
 //     CertainSolver::Create, which must return either a solver or a
-//     typed error — never crash. (The tripath search is bounded, so this
-//     cannot hang.)
+//     typed error (kInvalidQuery for anything but two atoms) — never
+//     crash. (The tripath search is bounded, so this cannot hang.)
 //
 // Seed corpus: fuzz/corpus/query_parser/ — the paper's query shapes plus
 // near-miss malformed variants, so coverage starts at the grammar instead
@@ -84,10 +84,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         printed + "\nvs\n" + reparsed->ToString());
   }
 
-  // Classification sweep for the paper's object of study: small two-atom
-  // queries. Either outcome (solver or typed error) is fine; crashes and
-  // CHECK-aborts are the bug.
-  if (q.NumAtoms() == 2 && q.NumVars() <= 8) {
+  // Classification sweep over small queries of any atom count (the
+  // engine must reject all but two atoms with a typed error). Either
+  // outcome (solver or typed error) is fine; crashes and CHECK-aborts are
+  // the bug.
+  if (q.NumVars() <= 8) {
     cqa::StatusOr<cqa::CertainSolver> solver =
         cqa::CertainSolver::Create(q);
     if (!solver.ok() && solver.status().message().empty()) {

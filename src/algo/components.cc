@@ -25,19 +25,14 @@ std::vector<QConnectedComponent> QConnectedComponents(
     if (component_index[rep] < 0) {
       component_index[rep] = static_cast<int>(components.size());
       components.emplace_back();
-      components.back().db = Database(db.schema());
     }
-    QConnectedComponent& comp = components[component_index[rep]];
-    for (FactId fid : blocks[blk].facts) {
-      FactRef fact = db.fact(fid);
-      std::vector<ElementId> args;
-      args.reserve(fact.args.size());
-      for (ElementId el : fact.args) {
-        args.push_back(comp.db.elements().Intern(db.elements().Name(el)));
-      }
-      comp.db.AddFact(fact.relation, std::move(args));
-      comp.original_facts.push_back(fid);
-    }
+    std::vector<FactId>& facts =
+        components[component_index[rep]].original_facts;
+    facts.insert(facts.end(), blocks[blk].facts.begin(),
+                 blocks[blk].facts.end());
+  }
+  for (QConnectedComponent& comp : components) {
+    comp.db = CopyFacts(db, comp.original_facts);
   }
   return components;
 }

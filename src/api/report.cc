@@ -41,13 +41,7 @@ SolveReport ExecuteReport(const Classification& classification,
   report.num_blocks = pdb.blocks().size();
 
   auto start = std::chrono::steady_clock::now();
-  if (want_witness && backend.CanExplain()) {
-    // One pass answers both questions: certain iff no falsifier exists.
-    report.witness = backend.Explain(pdb);
-    report.certain = !report.witness.has_value();
-  } else {
-    report.certain = backend.Solve(pdb);
-  }
+  report.certain = backend.Answer(pdb, want_witness, &report.witness);
   report.timings.solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

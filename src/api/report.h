@@ -64,8 +64,9 @@ struct SolveReport {
   std::uint64_t num_facts = 0;
   std::uint64_t num_blocks = 0;
 
-  /// Component-level reuse (set only by the incremental solve path of
-  /// mutable registered databases; zero/false on the full-solve path).
+  /// Component-level reuse (set only by solves of registered databases,
+  /// which go through IncrementalSolver; zero/false on ad-hoc and batch
+  /// solves of caller-owned databases).
   /// components_resolved + components_cached == components_total.
   bool incremental = false;
   std::uint64_t components_total = 0;
@@ -106,12 +107,10 @@ struct SolveReport {
 
 /// Runs a prepared `backend` on `pdb` and assembles the per-call part of
 /// the report: answer, provenance, counters, solve timing, and (when
-/// `want_witness` and not certain) the backend's witness. For backends
-/// with CanExplain the answer and witness come from one Explain pass
-/// (never Solve *and* Explain, which would double the expensive
-/// searches). Parse/classify/prepare timings are the caller's to fill
-/// in. Shared by Service and BatchSolver so single-shot and batch
-/// reports can never drift apart.
+/// `want_witness` and not certain) the backend's witness, decided by
+/// CertainBackend::Answer. Parse/classify/prepare timings are the
+/// caller's to fill in. The report body of SolveDatabase
+/// (engine/batch.h), so single-shot and batch reports cannot drift apart.
 SolveReport ExecuteReport(const Classification& classification,
                           const CertainBackend& backend,
                           const PreparedDatabase& pdb, bool want_witness);

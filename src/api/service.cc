@@ -4,7 +4,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "engine/registry.h"
 #include "query/eval.h"
 
 namespace cqa {
@@ -480,6 +479,14 @@ Status Service::SnapshotLocked(DbEntry& entry) const {
                                       ExportAllVerdicts(entry));
 }
 
+void Service::MaybeSnapshotLocked(DbEntry& entry) const {
+  if (entry.durable == nullptr || !entry.durable->ShouldSnapshot()) return;
+  // The batch is already durable in the WAL, so a failed snapshot only
+  // postpones compaction of the log (the next batch retries): count it
+  // instead of failing an acknowledged mutation.
+  if (!SnapshotLocked(entry).ok()) ++entry.snapshot_failures;
+}
+
 bool Service::MaybeCompact(
     DbEntry& entry,
     const std::vector<std::shared_ptr<DbEntry::IncrementalEntry>>& solvers,
@@ -511,23 +518,17 @@ StatusOr<SolveReport> Service::Solve(const CompiledQuery& q,
   Status bound = ValidateBinding(q.query(), (*entry)->db);
   if (!bound.ok()) return bound;
 
+  // The shared lock only excludes mutations and compactions. The solver
+  // settles queued deltas under its own components lock and re-solves
+  // only dirty components, coordinating concurrent fills of one
+  // component through its history-shard lock; every other solve reads
+  // the maintained certain count.
   SolveReport report;
-  if (options_.incremental_solving && q.query().NumAtoms() == 2) {
-    // The shared lock only excludes mutations and compactions. The
-    // solver settles queued deltas under its own components lock and
-    // re-solves only dirty components, coordinating concurrent fills of
-    // one component through its history-shard lock; every other solve
-    // reads the maintained certain count.
+  {
     std::shared_lock lock((*entry)->structure);
     EnsurePrepared(**entry);
-    auto inc = IncrementalFor(**entry, q);
-    report = inc->solver->Solve(options_.explain_non_certain);
-    if (name_witness) NameWitness((*entry)->db, &report);
-  } else {
-    std::shared_lock lock((*entry)->structure);
-    EnsurePrepared(**entry);
-    report = ExecuteReport(q.classification(), q.state_->solver.backend(),
-                           *(*entry)->prepared, options_.explain_non_certain);
+    report = IncrementalFor(**entry, q)->solver->Solve(
+        options_.explain_non_certain);
     if (name_witness) NameWitness((*entry)->db, &report);
   }
   report.timings.prepare_seconds = (*entry)->prepare_seconds;
@@ -582,12 +583,7 @@ Status Service::InsertFacts(std::string_view db_name,
     for (const auto& inc : solvers) inc->solver->OnInsert(id);
     if (stats != nullptr) ++stats->applied;
   }
-  if (entry.durable != nullptr && entry.durable->ShouldSnapshot()) {
-    // The batch is already durable in the WAL; a snapshot failure only
-    // postpones compaction of the log, so it is deliberately swallowed.
-    Status snapshot = SnapshotLocked(entry);
-    (void)snapshot;
-  }
+  MaybeSnapshotLocked(entry);
   return Status::Ok();
 }
 
@@ -657,10 +653,7 @@ Status Service::DeleteFacts(std::string_view db_name,
   if (MaybeCompact(entry, solvers, /*force=*/false) && stats != nullptr) {
     ++stats->compactions;
   }
-  if (entry.durable != nullptr && entry.durable->ShouldSnapshot()) {
-    Status snapshot = SnapshotLocked(entry);
-    (void)snapshot;  // See InsertFacts: the WAL already covers the batch.
-  }
+  MaybeSnapshotLocked(entry);
   return Status::Ok();
 }
 
@@ -717,16 +710,9 @@ StatusOr<SolveReport> Service::Solve(const CompiledQuery& q,
     return Status(StatusCode::kInvalidArgument,
                   "empty CompiledQuery handle (use Service::Compile)");
   }
-  Status bound = ValidateBinding(q.query(), db);
-  if (!bound.ok()) return bound;
-  auto prepare_start = std::chrono::steady_clock::now();
-  PreparedDatabase pdb(db);
-  double prepare_seconds = SecondsSince(prepare_start);
-  SolveReport report =
-      ExecuteReport(q.classification(), q.state_->solver.backend(), pdb,
-                    options_.explain_non_certain);
-  report.timings.prepare_seconds = prepare_seconds;
-  FillCompileTimings(q, &report);
+  StatusOr<SolveReport> report =
+      SolveDatabase(q.state_->solver, db, options_.explain_non_certain);
+  if (report.ok()) FillCompileTimings(q, &report.value());
   return report;
 }
 
@@ -773,7 +759,7 @@ std::vector<StatusOr<SolveReport>> Service::SolveBatch(
 }
 
 std::vector<std::string> Service::BackendNames() {
-  return BackendRegistry::Global().Names();
+  return ::cqa::BackendNames();
 }
 
 ServiceStats Service::Stats() const {
@@ -809,6 +795,7 @@ ServiceStats Service::Stats() const {
       d.wal_bytes = wal.wal_bytes;
       d.snapshots = wal.snapshots;
     }
+    d.snapshot_failures = entry->snapshot_failures;
     d.recoveries = entry->recoveries;
     // Snapshot the solver-map counters and list in one inc_mu section,
     // but sum the shard counters outside it: a shard mutex can be held
@@ -935,6 +922,13 @@ std::string ServiceStats::ToString() const {
              " retracted=" + std::to_string(d.sat.clauses_retracted) +
              " solvers=" + std::to_string(d.sat_solvers.entries) +
              " (evicted " + std::to_string(d.sat_solvers.evictions) + ")\n";
+    }
+    if (d.wal_records != 0 || d.snapshots != 0 || d.snapshot_failures != 0) {
+      out += "  store: wal_records=" + std::to_string(d.wal_records) +
+             " wal_bytes=" + std::to_string(d.wal_bytes) +
+             " snapshots=" + std::to_string(d.snapshots) +
+             " snapshot_failures=" + std::to_string(d.snapshot_failures) +
+             "\n";
     }
     if (d.audits_run != 0) {
       out += "  audits: runs=" + std::to_string(d.audits_run) +

@@ -112,11 +112,6 @@ struct ServiceOptions {
   /// Attach falsifying-repair witnesses to non-certain reports (backends
   /// without Explain still report no witness).
   bool explain_non_certain = true;
-  /// Solve registered databases through per-component verdicts
-  /// (two-atom queries only; others always take the full-solve path).
-  /// Costs one component partition per (database, query) pair up front;
-  /// pays off as soon as the database mutates between solves.
-  bool incremental_solving = true;
 
   // -- Memory & concurrency knobs (see the header comment) ------------
 
@@ -239,6 +234,10 @@ struct ServiceStats {
     std::uint64_t wal_bytes = 0;
     std::uint64_t snapshots = 0;
     std::uint64_t recoveries = 0;
+    /// Automatic snapshots (taken after a mutation batch) that failed.
+    /// The batch itself was still acknowledged, because the WAL covers
+    /// it; the next batch retries the snapshot. 0 is the healthy value.
+    std::uint64_t snapshot_failures = 0;
   };
 
   /// Serving layer (src/server): admission-queue and request-pipeline
@@ -283,7 +282,7 @@ struct ServiceStats {
 /// Per-Compile knobs; part of the cache key.
 struct CompileOptions {
   /// When nonempty, bypass the dichotomy dispatch and answer with this
-  /// registry backend (e.g. "sat", "exhaustive").
+  /// built-in backend (e.g. "sat", "exhaustive").
   std::string forced_backend;
   /// Accept queries the classifier could not resolve within its tripath
   /// bounds (they fall back to the exact, exponential backend). Off by
@@ -307,7 +306,7 @@ class CompiledQuery {
   const Classification& classification() const {
     return state_->solver.classification();
   }
-  /// Registry name of the backend the dichotomy bound, e.g. "cert2".
+  /// Name of the backend the dichotomy bound, e.g. "cert2".
   std::string_view backend_name() const {
     return state_->solver.backend().name();
   }
@@ -341,8 +340,9 @@ class Service {
   // -- Queries --------------------------------------------------------
 
   /// Parses, classifies, and binds `text` (cached). Errors:
-  /// kInvalidQuery (with line:column + caret), kUnknownBackend,
-  /// kCapabilityMismatch, kUnresolvedClass.
+  /// kInvalidQuery (a parse error with line:column + caret, or a query
+  /// without exactly two atoms), kUnknownBackend, kCapabilityMismatch,
+  /// kUnresolvedClass.
   [[nodiscard]] StatusOr<CompiledQuery> Compile(std::string_view text,
                                   const CompileOptions& options = {});
 
@@ -464,7 +464,8 @@ class Service {
 
   // -- Introspection --------------------------------------------------
 
-  /// Registered backend names (the forced_backend vocabulary).
+  /// Built-in backend names in lexicographic order (the forced_backend
+  /// vocabulary).
   static std::vector<std::string> BackendNames();
 
   /// Snapshots storage and cache state across all registered databases:
@@ -544,6 +545,9 @@ class Service {
     store::PersistedVerdictMap recovered_verdicts;
     // 1 when this entry was rebuilt from disk, 0 when registered fresh.
     std::uint64_t recoveries = 0;
+    // Failed automatic snapshots; written under the exclusive structure
+    // lock, read under the shared one.
+    std::uint64_t snapshot_failures = 0;
   };
 
   /// Looks up a registered database (service lock held inside).
@@ -577,6 +581,11 @@ class Service {
   /// Snapshots the entry's live solvers (for mutation fan-out).
   std::vector<std::shared_ptr<DbEntry::IncrementalEntry>> LiveSolvers(
       DbEntry& entry) const;
+
+  /// Takes the automatic snapshot a mutation batch earned, if any,
+  /// counting a failure in snapshot_failures. Caller holds the exclusive
+  /// structure lock.
+  void MaybeSnapshotLocked(DbEntry& entry) const;
 
   /// Compacts `entry` if its dead-slot ratio passed the configured
   /// trigger (or `force`), delta-patching the prepared indexes and the

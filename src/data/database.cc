@@ -296,4 +296,19 @@ FactId Database::FindFact(const Fact& f) const {
                            static_cast<std::uint32_t>(f.args.size())});
 }
 
+Database CopyFacts(const Database& db, const std::vector<FactId>& facts) {
+  Database copy(db.schema());
+  for (FactId f : facts) {
+    FactRef fact = db.fact(f);
+    std::vector<ElementId> args;
+    args.reserve(fact.args.size());
+    for (ElementId el : fact.args) {
+      args.push_back(copy.elements().Intern(db.elements().Name(el)));
+    }
+    FactId local = copy.AddFact(fact.relation, std::move(args));
+    CQA_CHECK_MSG(local + 1 == copy.NumFacts(), "CopyFacts: repeated fact");
+  }
+  return copy;
+}
+
 }  // namespace cqa

@@ -276,6 +276,13 @@ class Database {
   mutable std::unordered_map<std::size_t, std::vector<BlockId>> block_index_;
 };
 
+/// Copies the facts `facts` of `db` (distinct ids of alive facts) into a
+/// fresh database over the same schema, re-interning element names so
+/// blocks and solutions carry over verbatim; fact i of the copy is
+/// facts[i]. The one materializer of q-connected components and of
+/// per-component backend runs.
+Database CopyFacts(const Database& db, const std::vector<FactId>& facts);
+
 }  // namespace cqa
 
 #endif  // CQA_DATA_DATABASE_H_

@@ -45,17 +45,6 @@ enum class SolverAlgorithm {
 
 std::string ToString(SolverAlgorithm a);
 
-/// Inverse of ToString(SolverAlgorithm); nullopt for unrecognized strings.
-std::optional<SolverAlgorithm> SolverAlgorithmFromString(std::string_view s);
-
-/// Knobs shared by all backends.
-struct BackendOptions {
-  /// Practical k for Cert_k-based backends. The theoretical bound of
-  /// Proposition 8.2 (already 8 for key length 1) is exact but usually
-  /// overkill; Cert_k is sound for every k.
-  std::uint32_t practical_k = 4;
-};
-
 /// Verdict of one in-place component solve through a warm session.
 struct ComponentVerdict {
   bool certain = false;
@@ -112,7 +101,7 @@ class CertainBackend {
  public:
   virtual ~CertainBackend() = default;
 
-  /// Registry name, e.g. "cert2".
+  /// Backend name, e.g. "cert2" (see MakeBackend).
   virtual std::string_view name() const = 0;
 
   /// Provenance tag reported in SolverAnswer.
@@ -144,6 +133,19 @@ class CertainBackend {
     return std::nullopt;
   }
 
+  /// The one Explain-or-Solve decision every caller shares: when a
+  /// witness is wanted and the backend can explain, one Explain pass
+  /// answers both questions (certain iff no falsifier; the falsifier
+  /// lands in *witness), never Solve *and* Explain, which would double
+  /// the expensive searches. Otherwise Solve answers and *witness is left
+  /// as it was.
+  bool Answer(const PreparedDatabase& pdb, bool want_witness,
+              std::optional<Repair>* witness) const {
+    if (!want_witness || !CanExplain()) return Solve(pdb);
+    *witness = Explain(pdb);
+    return !witness->has_value();
+  }
+
   /// Optional warm-session hook: a backend that can amortize state across
   /// repeated component solves returns a fresh session (cache caps bound
   /// its per-component solver pool; solver_options tunes each solver's
@@ -157,6 +159,23 @@ class CertainBackend {
     return nullptr;
   }
 };
+
+/// Makes the built-in backend called `name`, unprepared; the Cert_k-based
+/// ones run at `practical_k`. nullptr when no backend has that name. The
+/// six built-ins (engine/backends.cc):
+///   cert2           Cert_2 greedy fixpoint (Theorem 6.1 classes)
+///   certk           Cert_k at `practical_k` (Theorem 8.1)
+///   certk+matching  Cert_k OR NOT matching (Theorem 10.5)
+///   exhaustive      backtracking falsifier search (exact, exponential)
+///   sat             falsifier-existence CNF solved by CDCL (exact,
+///                   exponential; cross-checks `exhaustive`)
+///   trivial         per-block pattern scan (exact on trivial queries)
+std::unique_ptr<CertainBackend> MakeBackend(std::string_view name,
+                                            std::uint32_t practical_k);
+
+/// The built-in backend names in lexicographic order (the
+/// forced_backend vocabulary).
+std::vector<std::string> BackendNames();
 
 }  // namespace cqa
 

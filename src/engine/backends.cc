@@ -1,4 +1,5 @@
-// The six built-in certain-answer backends and the global registry.
+// The six built-in certain-answer backends and the fixed table that
+// names them.
 
 #include <algorithm>
 #include <memory>
@@ -11,7 +12,7 @@
 #include "algo/exhaustive.h"
 #include "algo/trivial.h"
 #include "base/check.h"
-#include "engine/registry.h"
+#include "engine/backend.h"
 #include "query/hom.h"
 #include "reduction/sat_reduction.h"
 #include "sat/cdcl.h"
@@ -234,27 +235,60 @@ class SatBackend : public TwoAtomBackend {
   }
 };
 
+/// The built-in backends by name, in lexicographic order.
+struct BackendEntry {
+  std::string_view name;
+  std::unique_ptr<CertainBackend> (*make)(std::uint32_t practical_k);
+};
+
+const BackendEntry kBackends[] = {
+    {"cert2", [](std::uint32_t) -> std::unique_ptr<CertainBackend> {
+       return std::make_unique<Cert2Backend>();
+     }},
+    {"certk", [](std::uint32_t k) -> std::unique_ptr<CertainBackend> {
+       return std::make_unique<CertKBackend>(k);
+     }},
+    {"certk+matching", [](std::uint32_t k) -> std::unique_ptr<CertainBackend> {
+       return std::make_unique<CertKOrMatchingBackend>(k);
+     }},
+    {"exhaustive", [](std::uint32_t) -> std::unique_ptr<CertainBackend> {
+       return std::make_unique<ExhaustiveBackend>();
+     }},
+    {"sat", [](std::uint32_t) -> std::unique_ptr<CertainBackend> {
+       return std::make_unique<SatBackend>();
+     }},
+    {"trivial", [](std::uint32_t) -> std::unique_ptr<CertainBackend> {
+       return std::make_unique<TrivialScanBackend>();
+     }},
+};
+
 }  // namespace
 
-void RegisterBuiltinBackends(BackendRegistry* registry) {
-  registry->Register("trivial", [](const BackendOptions&) {
-    return std::make_unique<TrivialScanBackend>();
-  });
-  registry->Register("cert2", [](const BackendOptions&) {
-    return std::make_unique<Cert2Backend>();
-  });
-  registry->Register("certk", [](const BackendOptions& options) {
-    return std::make_unique<CertKBackend>(options.practical_k);
-  });
-  registry->Register("certk+matching", [](const BackendOptions& options) {
-    return std::make_unique<CertKOrMatchingBackend>(options.practical_k);
-  });
-  registry->Register("exhaustive", [](const BackendOptions&) {
-    return std::make_unique<ExhaustiveBackend>();
-  });
-  registry->Register("sat", [](const BackendOptions&) {
-    return std::make_unique<SatBackend>();
-  });
+std::unique_ptr<CertainBackend> MakeBackend(std::string_view name,
+                                            std::uint32_t practical_k) {
+  for (const BackendEntry& entry : kBackends) {
+    if (entry.name == name) return entry.make(practical_k);
+  }
+  return nullptr;
+}
+
+std::vector<std::string> BackendNames() {
+  std::vector<std::string> names;
+  for (const BackendEntry& entry : kBackends) names.emplace_back(entry.name);
+  return names;
+}
+
+std::string ToString(SolverAlgorithm a) {
+  switch (a) {
+    case SolverAlgorithm::kTrivialScan: return "trivial per-block scan";
+    case SolverAlgorithm::kCert2: return "Cert_2 greedy fixpoint";
+    case SolverAlgorithm::kCertK: return "Cert_k greedy fixpoint";
+    case SolverAlgorithm::kCertKOrMatching:
+      return "Cert_k OR NOT matching";
+    case SolverAlgorithm::kExhaustive: return "exhaustive falsifier search";
+    case SolverAlgorithm::kSat: return "falsifier CNF + CDCL";
+  }
+  return "?";
 }
 
 }  // namespace cqa

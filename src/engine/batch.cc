@@ -7,7 +7,6 @@
 #include <thread>
 #include <unordered_set>
 
-#include "base/check.h"
 #include "data/prepared.h"
 #include "query/eval.h"
 
@@ -69,81 +68,57 @@ BatchSolver::BatchSolver(const CertainSolver& solver, BatchOptions options)
   }
 }
 
-std::vector<SolverAnswer> BatchSolver::SolveAll(
-    const std::vector<const Database*>& dbs, BatchStats* stats) const {
-  {
-    std::unordered_set<const Database*> seen;
-    for (const Database* db : dbs) {
-      CQA_CHECK_MSG(db != nullptr, "null database in batch");
-      CQA_CHECK_MSG(seen.insert(db).second,
-                    "duplicate database pointer in batch (each job must "
-                    "own its lazy block index)");
-    }
-  }
-
-  std::vector<SolverAnswer> answers(dbs.size());
-  auto start = std::chrono::steady_clock::now();
-  std::uint32_t spawned = RunJobs(dbs.size(), num_threads_,
-                                  [&](std::size_t job) {
-                                    PreparedDatabase pdb(*dbs[job]);
-                                    answers[job] = solver_->Solve(pdb);
-                                  });
-  FillStats(stats, spawned, dbs.size(), start);
-  return answers;
+StatusOr<SolveReport> SolveDatabase(const CertainSolver& solver,
+                                    const Database& db, bool want_witness) {
+  Status bound = ValidateBinding(solver.query(), db);
+  if (!bound.ok()) return bound;
+  auto prepare_start = std::chrono::steady_clock::now();
+  PreparedDatabase pdb(db);
+  double prepare_seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - prepare_start)
+                               .count();
+  SolveReport report = ExecuteReport(solver.classification(), solver.backend(),
+                                     pdb, want_witness);
+  report.timings.prepare_seconds = prepare_seconds;
+  return report;
 }
 
 std::vector<StatusOr<SolveReport>> BatchSolver::SolveAllReports(
     const std::vector<const Database*>& dbs, BatchStats* stats) const {
-  // Pre-screen poisoned entries on the caller's thread: null and
-  // duplicate pointers (a duplicate's lazy block index is a data race
-  // between workers), and databases the query cannot bind to. Bad slots
-  // get their error Status here and are skipped by the workers.
-  std::vector<Status> slot_errors(dbs.size());
+  // Pre-screen null and duplicate pointers on the caller's thread (a
+  // duplicate's lazy block index is a data race between workers); those
+  // slots get their error here and are skipped by the workers, which
+  // report schema mismatches per slot themselves.
+  std::vector<std::optional<StatusOr<SolveReport>>> results(dbs.size());
   std::unordered_set<const Database*> seen;
-  std::uint64_t solvable = 0;
   for (std::size_t i = 0; i < dbs.size(); ++i) {
     if (dbs[i] == nullptr) {
-      slot_errors[i] = Status(StatusCode::kInvalidArgument,
-                              "null database in batch slot " +
-                                  std::to_string(i));
+      results[i] = Status(StatusCode::kInvalidArgument,
+                          "null database in batch slot " + std::to_string(i));
     } else if (!seen.insert(dbs[i]).second) {
-      slot_errors[i] = Status(
+      results[i] = Status(
           StatusCode::kInvalidArgument,
           "duplicate database pointer in batch slot " + std::to_string(i) +
               " (each job must own its lazy block index)");
-    } else {
-      slot_errors[i] = ValidateBinding(solver_->query(), *dbs[i]);
-      if (slot_errors[i].ok()) ++solvable;
     }
   }
 
-  std::vector<std::optional<SolveReport>> reports(dbs.size());
   auto start = std::chrono::steady_clock::now();
   std::uint32_t spawned =
       RunJobs(dbs.size(), num_threads_, [&](std::size_t job) {
-        if (!slot_errors[job].ok()) return;
-        auto prepare_start = std::chrono::steady_clock::now();
-        PreparedDatabase pdb(*dbs[job]);
-        double prepare_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          prepare_start)
-                .count();
-        SolveReport report =
-            ExecuteReport(solver_->classification(), solver_->backend(), pdb,
-                          want_witness_);
-        report.timings.prepare_seconds = prepare_seconds;
-        reports[job] = std::move(report);
+        if (results[job].has_value()) return;
+        results[job] = SolveDatabase(*solver_, *dbs[job], want_witness_);
       });
-  FillStats(stats, spawned, solvable, start);
+
+  FillStats(stats, spawned,
+            std::count_if(results.begin(), results.end(),
+                          [](const auto& result) { return result->ok(); }),
+            start);
 
   std::vector<StatusOr<SolveReport>> out;
   out.reserve(dbs.size());
-  for (std::size_t i = 0; i < dbs.size(); ++i) {
-    if (reports[i].has_value()) {
-      out.push_back(std::move(*reports[i]));
-    } else {
-      out.push_back(std::move(slot_errors[i]));
-    }
+  for (std::optional<StatusOr<SolveReport>>& result : results) {
+    out.push_back(std::move(*result));
   }
   return out;
 }
@@ -154,14 +129,6 @@ std::vector<StatusOr<SolveReport>> BatchSolver::SolveAllReports(
   pointers.reserve(dbs.size());
   for (const Database& db : dbs) pointers.push_back(&db);
   return SolveAllReports(pointers, stats);
-}
-
-std::vector<SolverAnswer> BatchSolver::SolveAll(
-    const std::vector<Database>& dbs, BatchStats* stats) const {
-  std::vector<const Database*> pointers;
-  pointers.reserve(dbs.size());
-  for (const Database& db : dbs) pointers.push_back(&db);
-  return SolveAll(pointers, stats);
 }
 
 }  // namespace cqa

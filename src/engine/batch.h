@@ -7,11 +7,11 @@
 // calling CertainSolver::Solve per database — the pool only changes the
 // schedule, never the algorithm.
 //
-// Thread-safety: CertainSolver::Solve(const PreparedDatabase&) is const and
+// Thread-safety: the bound backend's Solve/Explain are const and
 // stateless, so one solver is shared across all workers. The Database
 // objects themselves must be distinct per job (their lazy block index is
-// forced from the worker thread that prepares them); SolveAll CHECKs that
-// no pointer is passed twice.
+// forced from the worker thread that prepares them); a pointer passed
+// twice is a per-slot error.
 
 #ifndef CQA_ENGINE_BATCH_H_
 #define CQA_ENGINE_BATCH_H_
@@ -34,7 +34,7 @@ struct BatchOptions {
   bool want_witness = true;
 };
 
-/// Throughput accounting for one SolveAll call.
+/// Throughput accounting for one SolveAllReports call.
 struct BatchStats {
   std::uint32_t threads_used = 0;
   std::uint64_t queries = 0;
@@ -47,18 +47,7 @@ class BatchSolver {
   /// The solver must outlive the BatchSolver.
   explicit BatchSolver(const CertainSolver& solver, BatchOptions options = {});
 
-  /// Answers every database, in input order. Each pointer must be non-null
-  /// and distinct (CHECKed); a schema-mismatched database aborts the
-  /// process via RelationBinding. Prefer SolveAllReports, which degrades
-  /// both into per-slot errors.
-  std::vector<SolverAnswer> SolveAll(const std::vector<const Database*>& dbs,
-                                     BatchStats* stats = nullptr) const;
-
-  /// Convenience overload for owned databases.
-  std::vector<SolverAnswer> SolveAll(const std::vector<Database>& dbs,
-                                     BatchStats* stats = nullptr) const;
-
-  /// Fault-isolating variant: one report per database, in input order. A
+  /// Answers every database: one report per database, in input order. A
   /// poisoned entry — null pointer, duplicate pointer (whose lazy block
   /// index two workers would race on), or a database whose schema cannot
   /// be bound to the query — yields an error Status in its slot and never
@@ -80,6 +69,14 @@ class BatchSolver {
   std::uint32_t num_threads_;
   bool want_witness_;
 };
+
+/// One ad-hoc database, start to finish: binds the query to its schema
+/// (the binding error when it cannot), prepares it, runs the solver's
+/// backend (ExecuteReport) and stamps the prepare timing. Every
+/// SolveAllReports job and Service::Solve on a caller-owned database are
+/// this call.
+StatusOr<SolveReport> SolveDatabase(const CertainSolver& solver,
+                                    const Database& db, bool want_witness);
 
 }  // namespace cqa
 

@@ -299,46 +299,24 @@ CachedVerdict IncrementalSolver::SolveComponent(
 CachedVerdict IncrementalSolver::SolveMaterialized(
     const std::vector<FactId>& members, bool want_witness) const {
   const Database& db = pdb_->db();
-  // Materialize the component as its own database, re-interning element
-  // names so blocks and solutions are preserved verbatim (the shape
-  // QConnectedComponents uses). Sorting keeps the sub-database — and so
-  // the backend's search order and witness choice — deterministic
-  // regardless of union-find history.
+  // Sorting keeps the sub-database — and so the backend's search order
+  // and witness choice — deterministic regardless of union-find history.
   std::vector<FactId> sorted = members;
   std::sort(sorted.begin(), sorted.end());
-  Database sub(db.schema());
-  std::vector<FactId> original;  // Parallel to sub's fact ids.
-  original.reserve(sorted.size());
-  for (FactId fid : sorted) {
-    FactRef fact = db.fact(fid);
-    std::vector<ElementId> args;
-    args.reserve(fact.args.size());
-    for (ElementId el : fact.args) {
-      args.push_back(sub.elements().Intern(db.elements().Name(el)));
-    }
-    FactId local = sub.AddFact(fact.relation, std::move(args));
-    CQA_CHECK(local == original.size());  // Members are distinct facts.
-    original.push_back(fid);
-  }
+  Database sub = CopyFacts(db, sorted);
   PreparedDatabase sub_pdb(sub);
 
   CachedVerdict verdict;
-  const CertainBackend& backend = solver_->backend();
-  if (want_witness && backend.CanExplain()) {
-    // One pass answers both questions: certain iff no falsifier exists.
-    std::optional<Repair> repair = backend.Explain(sub_pdb);
-    verdict.certain = !repair.has_value();
-    if (repair.has_value()) {
-      verdict.has_witness = true;
-      const std::vector<Block>& sub_blocks = sub.blocks();
-      verdict.witness_facts.reserve(sub_blocks.size());
-      for (BlockId b = 0; b < sub_blocks.size(); ++b) {
-        verdict.witness_facts.push_back(
-            db.MaterializeFact(original[repair->FactIn(b)]));
-      }
+  std::optional<Repair> repair;
+  verdict.certain = solver_->backend().Answer(sub_pdb, want_witness, &repair);
+  if (repair.has_value()) {
+    verdict.has_witness = true;
+    const std::vector<Block>& sub_blocks = sub.blocks();
+    verdict.witness_facts.reserve(sub_blocks.size());
+    for (BlockId b = 0; b < sub_blocks.size(); ++b) {
+      verdict.witness_facts.push_back(
+          db.MaterializeFact(sorted[repair->FactIn(b)]));
     }
-  } else {
-    verdict.certain = backend.Solve(sub_pdb);
   }
   return verdict;
 }

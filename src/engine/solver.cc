@@ -1,15 +1,14 @@
 #include "engine/solver.h"
 
-#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "base/check.h"
-#include "engine/registry.h"
 
 namespace cqa {
 namespace {
 
-/// The dichotomy dispatch: which registry backend answers each class.
+/// The dichotomy dispatch: which built-in backend answers each class.
 std::string_view BackendNameFor(QueryClass query_class) {
   switch (query_class) {
     case QueryClass::kTrivial:
@@ -36,42 +35,48 @@ std::string_view BackendNameFor(QueryClass query_class) {
 }  // namespace
 
 StatusOr<CertainSolver> CertainSolver::Create(ConjunctiveQuery query,
-                                              SolverOptions options) {
+                                              const SolverOptions& options) {
+  // The two-atom gate: the classifier and every backend assume it, and
+  // query text is user input, so reject it like a parse error.
+  if (query.NumAtoms() != 2) {
+    return Status(StatusCode::kInvalidQuery,
+                  "certain answering covers Boolean queries with exactly two "
+                  "atoms; got " + std::to_string(query.NumAtoms()) +
+                      (query.NumAtoms() == 1 ? " atom in " : " atoms in ") +
+                      query.ToString());
+  }
   Classification classification =
       ClassifyQuery(query, options.tripath_limits);
   std::string_view name = options.forced_backend.empty()
                               ? BackendNameFor(classification.query_class)
                               : std::string_view(options.forced_backend);
-  BackendOptions backend_options;
-  backend_options.practical_k = options.practical_k;
   std::unique_ptr<CertainBackend> backend =
-      BackendRegistry::Global().Create(name, backend_options);
+      MakeBackend(name, options.practical_k);
   // forced_backend is user input; reject it like the parser rejects bad
   // query text rather than aborting.
   if (backend == nullptr) {
-    std::string registered;
-    for (const std::string& n : BackendRegistry::Global().Names()) {
-      if (!registered.empty()) registered += ", ";
-      registered += n;
+    std::string known;
+    for (const std::string& n : BackendNames()) {
+      if (!known.empty()) known += ", ";
+      known += n;
     }
     return Status(StatusCode::kUnknownBackend,
                   "unknown certain-answer backend \"" + std::string(name) +
-                      "\" (registered: " + registered + ")");
+                      "\" (built-in: " + known + ")");
   }
   if (!backend->Prepare(query)) {
     return Status(StatusCode::kCapabilityMismatch,
                   "backend \"" + std::string(name) +
                       "\" cannot answer query " + query.ToString());
   }
-  return CertainSolver(std::move(query), std::move(options),
-                       std::move(classification), std::move(backend));
+  return CertainSolver(std::move(query), std::move(classification),
+                       std::move(backend));
 }
 
-CertainSolver::CertainSolver(ConjunctiveQuery query, SolverOptions options,
+CertainSolver::CertainSolver(ConjunctiveQuery query,
                              Classification classification,
                              std::unique_ptr<CertainBackend> backend)
     : query_(std::move(query)),
-      options_(std::move(options)),
       classification_(std::move(classification)),
       backend_(std::move(backend)) {}
 

@@ -11,10 +11,13 @@
 //   coNP-hard classes  -> "exhaustive" (exact, exponential)
 //   sjf classes        -> "cert2" for PTime/FO, "exhaustive" for coNP.
 //
-// Backends are looked up in the global BackendRegistry, so alternative
-// implementations (e.g. the "sat" backend) can be forced via
-// SolverOptions::forced_backend or registered under new names without
-// touching this dispatcher.
+// The dichotomy, and so every backend, covers exactly the Boolean CQs
+// with two atoms; Create rejects any other query before classifying it.
+// Backends come from the fixed table of built-ins (MakeBackend in
+// engine/backend.h); SolverOptions::forced_backend picks one by name
+// instead of the dispatch (e.g. "sat", to cross-check "exhaustive"). A
+// new backend is one more class and one more table row in
+// engine/backends.cc.
 
 #ifndef CQA_ENGINE_SOLVER_H_
 #define CQA_ENGINE_SOLVER_H_
@@ -40,7 +43,7 @@ struct SolverOptions {
   std::uint32_t practical_k = 4;
   TripathSearchLimits tripath_limits;
   /// When nonempty, bypass the dichotomy dispatch and answer every
-  /// database with this registry backend (e.g. "sat", "exhaustive").
+  /// database with this built-in backend (e.g. "sat", "exhaustive").
   std::string forced_backend;
 };
 
@@ -54,11 +57,12 @@ struct SolverAnswer {
 class CertainSolver {
  public:
   /// Exception-free construction: classifies the query and binds its
-  /// backend. Errors: kUnknownBackend when `options.forced_backend` names
-  /// no registered backend, kCapabilityMismatch when the chosen backend
-  /// cannot answer `query`.
-  [[nodiscard]] static StatusOr<CertainSolver> Create(ConjunctiveQuery query,
-                                        SolverOptions options = {});
+  /// backend. Errors: kInvalidQuery when `query` does not have exactly
+  /// two atoms, kUnknownBackend when `options.forced_backend` names no
+  /// built-in backend, kCapabilityMismatch when the chosen backend cannot
+  /// answer `query`.
+  [[nodiscard]] static StatusOr<CertainSolver> Create(
+      ConjunctiveQuery query, const SolverOptions& options = {});
 
   /// Decides whether `query()` is certain for db.
   SolverAnswer Solve(const Database& db) const;
@@ -72,12 +76,10 @@ class CertainSolver {
   const CertainBackend& backend() const { return *backend_; }
 
  private:
-  CertainSolver(ConjunctiveQuery query, SolverOptions options,
-                Classification classification,
+  CertainSolver(ConjunctiveQuery query, Classification classification,
                 std::unique_ptr<CertainBackend> backend);
 
   ConjunctiveQuery query_;
-  SolverOptions options_;
   Classification classification_;
   std::unique_ptr<CertainBackend> backend_;
 };

@@ -74,6 +74,29 @@ TEST(ServiceCompile, BadQueryTextIsInvalidQuery) {
       << q.status().message();
 }
 
+// The dichotomy covers exactly the two-atom queries. Any other atom
+// count parses but must come back as a typed error naming the count, not
+// abort the process, and the service must keep serving afterwards.
+TEST(ServiceCompile, QueriesWithoutTwoAtomsAreInvalidQuery) {
+  Service service;
+  for (const auto& [text, atoms] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"R(x | y)", "got 1 "},
+           {"R(x | y) R(y | z) R(z | w)", "got 3 "}}) {
+    StatusOr<CompiledQuery> q = service.Compile(text);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidQuery) << text;
+    EXPECT_NE(q.status().message().find(atoms), std::string::npos)
+        << q.status().message();
+  }
+  StatusOr<CompiledQuery> q = service.Compile("R(x | y) R(y | z)");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_TRUE(service.RegisterDatabase("d", ChainDb(q->query().schema())).ok());
+  StatusOr<SolveReport> report = service.Solve(*q, "d");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->certain);
+}
+
 TEST(ServiceCompile, UnknownForcedBackend) {
   Service service;
   CompileOptions options;

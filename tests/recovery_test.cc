@@ -480,6 +480,50 @@ TEST(RecoveryService, DropThenRecreateStartsClean) {
   EXPECT_EQ((*listed)[0].args, (std::vector<std::string>{"x", "y"}));
 }
 
+// A failed automatic snapshot must not fail the batch that earned it
+// (the WAL already holds that batch), but it must not vanish either:
+// Stats counts it, and a later checkpoint recovers once I/O works again.
+TEST(RecoveryService, FailedAutomaticSnapshotIsCounted) {
+  std::string dir = FreshDir("snapshot_failure");
+  ServiceOptions options = DurableOptions(dir, store::FsyncPolicy::kEveryBatch);
+  options.durability.snapshot_interval = 2;
+  Service service(options);
+  ASSERT_TRUE(
+      service.RegisterDatabase(kDbName, Database(OneRelationSchema())).ok());
+
+  // The first batch earns no snapshot: count its WAL ops to aim the fault.
+  store::InstallFault(store::FaultPlan{});
+  ASSERT_TRUE(service.InsertFacts(kDbName, {{"R", {"a", "b"}}}).ok());
+  std::uint64_t wal_ops = store::IoOpCount();
+  ASSERT_GT(wal_ops, 0u);
+  // The second batch logs with as many ops, then its snapshot's first op
+  // fails.
+  store::FaultPlan plan;
+  plan.crash_at_op = wal_ops;
+  store::InstallFault(plan);
+  Status inserted = service.InsertFacts(kDbName, {{"R", {"c", "d"}}});
+  bool tripped = store::FaultTripped();
+  store::ClearFault();
+  ASSERT_TRUE(tripped) << "the fault never reached the snapshot";
+  EXPECT_TRUE(inserted.ok()) << inserted.ToString();
+
+  ServiceStats stats = service.Stats();
+  ASSERT_EQ(stats.databases.size(), 1u);
+  EXPECT_EQ(stats.databases[0].snapshot_failures, 1u);
+  EXPECT_EQ(stats.databases[0].snapshots, 1u);  // Only the initial one.
+  EXPECT_NE(stats.ToString().find("snapshot_failures=1"), std::string::npos)
+      << stats.ToString();
+  StatusOr<std::vector<FactSpec>> listed = service.ListFacts(kDbName);
+  ASSERT_TRUE(listed.ok());
+  EXPECT_EQ(ToSet(*listed),
+            ToSet({{"R", {"a", "b"}}, {"R", {"c", "d"}}}));
+
+  ASSERT_TRUE(service.CheckpointDatabase(kDbName).ok());
+  stats = service.Stats();
+  EXPECT_EQ(stats.databases[0].snapshots, 2u);
+  EXPECT_EQ(stats.databases[0].snapshot_failures, 1u);
+}
+
 // Durability off: the durable API surfaces typed errors instead of
 // touching the filesystem.
 TEST(RecoveryService, DurabilityOffIsTypedError) {

@@ -174,6 +174,23 @@ TEST(ServerDifferentialTest, TypedErrorCodesMatchInProcess) {
     EXPECT_EQ(resp->code, direct.status().code());
     EXPECT_FALSE(resp->message.empty());
   }
+  // A query without exactly two atoms parses but is outside the
+  // dichotomy: a typed error on the wire, and the same connection then
+  // serves a valid solve.
+  for (const char* text : {"R(x | y)", "R(x | y) R(y | z) R(z | w)"}) {
+    StatusOr<CompiledQuery> direct = h.service.Compile(text);
+    ASSERT_FALSE(direct.ok());
+    ASSERT_EQ(direct.status().code(), StatusCode::kInvalidQuery);
+    StatusOr<Response> resp = h.client.Call(h.MakeRequest("errs", text));
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->code, StatusCode::kInvalidQuery);
+    EXPECT_FALSE(resp->message.empty());
+    StatusOr<Response> next =
+        h.client.Call(h.MakeRequest("errs", "R(x | y) R(y | z)"));
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    EXPECT_EQ(next->code, StatusCode::kOk) << next->message;
+    EXPECT_EQ(next->backend_name, "cert2");
+  }
   // Unknown forced backend.
   {
     Request req = h.MakeRequest("errs", "R(x | y) R(y | z)");
