@@ -29,9 +29,9 @@ std::string SolveReport::Summary() const {
   return buffer;
 }
 
-SolveReport ExecuteReport(const Classification& classification,
-                          const CertainBackend& backend,
-                          const PreparedDatabase& pdb, bool want_witness) {
+SolveReport ReportHeader(const Classification& classification,
+                         const CertainBackend& backend,
+                         const PreparedDatabase& pdb) {
   SolveReport report;
   report.query_class = classification.query_class;
   report.complexity = classification.complexity;
@@ -39,7 +39,13 @@ SolveReport ExecuteReport(const Classification& classification,
   report.backend_name = std::string(backend.name());
   report.num_facts = pdb.db().NumAliveFacts();
   report.num_blocks = pdb.blocks().size();
+  return report;
+}
 
+SolveReport ExecuteReport(const Classification& classification,
+                          const CertainBackend& backend,
+                          const PreparedDatabase& pdb, bool want_witness) {
+  SolveReport report = ReportHeader(classification, backend, pdb);
   auto start = std::chrono::steady_clock::now();
   report.certain = backend.Answer(pdb, want_witness, &report.witness);
   report.timings.solve_seconds =

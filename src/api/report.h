@@ -77,13 +77,10 @@ struct SolveReport {
   std::uint64_t cache_evictions = 0;
 
   /// Warm-SAT observability (incremental path with a session-capable
-  /// backend only; all-zero otherwise). True when a warm per-component
-  /// solver session served this solve's backend runs.
+  /// backend only; false otherwise): true when a warm per-component
+  /// solver session served this solve's backend runs. The session's
+  /// cumulative CDCL counters are in ServiceStats::DatabaseStats::sat.
   bool sat_warm = false;
-  /// Cumulative CDCL counters of the database's warm session as of the
-  /// end of this solve: solves/warm_solves, learned kept/deleted,
-  /// restarts, clauses retracted by activation-literal retraction, ...
-  CdclStats sat;
 
   /// A repair falsifying the query: present only when certain is false
   /// and the backend supports Explain. Points into the solved database
@@ -104,6 +101,13 @@ struct SolveReport {
   /// One-line human-readable summary (never prints raw enum ints).
   std::string Summary() const;
 };
+
+/// The provenance every solve report carries: dichotomy class,
+/// complexity, algorithm and backend name, plus `pdb`'s alive facts and
+/// blocks. The answer, counters and timings are the caller's.
+SolveReport ReportHeader(const Classification& classification,
+                         const CertainBackend& backend,
+                         const PreparedDatabase& pdb);
 
 /// Runs a prepared `backend` on `pdb` and assembles the per-call part of
 /// the report: answer, provenance, counters, solve timing, and (when

@@ -106,6 +106,16 @@ StatusOr<RelationId> ResolveSpec(const Database& db, const FactSpec& spec) {
   return rel;
 }
 
+store::DurableStore::Options StoreOptions(
+    const ServiceOptions::DurabilityOptions& durability) {
+  store::DurableStore::Options options;
+  options.fsync = durability.fsync;
+  options.fsync_interval = durability.fsync_interval;
+  options.snapshot_interval = durability.snapshot_interval;
+  options.persist_verdicts = durability.persist_verdicts;
+  return options;
+}
+
 }  // namespace
 
 Service::Service(ServiceOptions options)
@@ -217,13 +227,9 @@ Status Service::RegisterDatabase(std::string_view name, Database db) {
 
   // Initialize the on-disk store (wiping any leftover directory from a
   // dropped predecessor) outside the registry lock — it fsyncs.
-  store::DurableStore::Options store_options;
-  store_options.fsync = options_.durability.fsync;
-  store_options.fsync_interval = options_.durability.fsync_interval;
-  store_options.snapshot_interval = options_.durability.snapshot_interval;
-  store_options.persist_verdicts = options_.durability.persist_verdicts;
   StatusOr<std::unique_ptr<store::DurableStore>> durable =
-      store::DurableStore::Create(DbDir(name), entry->db, {}, store_options);
+      store::DurableStore::Create(DbDir(name), entry->db, {},
+                                  StoreOptions(options_.durability));
   if (!durable.ok()) {
     // Roll the reservation back: a durability-enabled database must not
     // exist without its store.
@@ -270,16 +276,11 @@ Status Service::RecoverDatabase(std::string_view name) {
     }
   }
 
-  store::DurableStore::Options store_options;
-  store_options.fsync = options_.durability.fsync;
-  store_options.fsync_interval = options_.durability.fsync_interval;
-  store_options.snapshot_interval = options_.durability.snapshot_interval;
-  store_options.persist_verdicts = options_.durability.persist_verdicts;
   // Recover outside the registry lock: replay is O(state) and must not
   // stall the service. A racing recovery of the same name does redundant
   // read-only work; the registry insert keeps exactly one result.
   StatusOr<store::DurableStore::OpenResult> opened =
-      store::DurableStore::Open(DbDir(name), store_options);
+      store::DurableStore::Open(DbDir(name), StoreOptions(options_.durability));
   if (!opened.ok()) return opened.status();
 
   auto entry = std::make_shared<DbEntry>(std::move(opened->db),
@@ -407,6 +408,7 @@ std::shared_ptr<Service::DbEntry::IncrementalEntry> Service::IncrementalFor(
   // race means two threads partitioned the same query and the first
   // insertion wins.
   auto made = std::make_shared<DbEntry::IncrementalEntry>();
+  made->key = key;
   made->state = q.state_;
   made->solver = std::make_unique<IncrementalSolver>(
       q.state_->solver, *entry.prepared, options_.verdict_cache,
@@ -429,9 +431,11 @@ std::shared_ptr<Service::DbEntry::IncrementalEntry> Service::IncrementalFor(
 }
 
 std::vector<std::shared_ptr<Service::DbEntry::IncrementalEntry>>
-Service::LiveSolvers(DbEntry& entry) const {
+Service::LiveSolvers(DbEntry& entry,
+                     const std::function<void()>& under_inc_mu) const {
   std::vector<std::shared_ptr<DbEntry::IncrementalEntry>> solvers;
   std::lock_guard lock(entry.inc_mu);
+  if (under_inc_mu) under_inc_mu();
   entry.incremental.ForEach(
       [&](const std::string&,
           const std::shared_ptr<DbEntry::IncrementalEntry>& inc) {
@@ -441,21 +445,11 @@ Service::LiveSolvers(DbEntry& entry) const {
 }
 
 store::PersistedVerdictMap Service::ExportAllVerdicts(DbEntry& entry) const {
-  std::vector<std::pair<std::string,
-                        std::shared_ptr<DbEntry::IncrementalEntry>>> solvers;
-  {
-    std::lock_guard lock(entry.inc_mu);
-    entry.incremental.ForEach(
-        [&](const std::string& key,
-            const std::shared_ptr<DbEntry::IncrementalEntry>& inc) {
-          solvers.emplace_back(key, inc);
-        });
-  }
   store::PersistedVerdictMap map;
-  for (auto& [key, inc] : solvers) {
+  for (const auto& inc : LiveSolvers(entry)) {
     std::vector<store::PersistedVerdict> verdicts =
         inc->solver->ExportVerdicts();
-    if (!verdicts.empty()) map.emplace(key, std::move(verdicts));
+    if (!verdicts.empty()) map.emplace(inc->key, std::move(verdicts));
   }
   // Recovered verdicts whose solver was never re-created this run are
   // carried forward — still valid (content-addressed), still worth a
@@ -519,10 +513,9 @@ StatusOr<SolveReport> Service::Solve(const CompiledQuery& q,
   if (!bound.ok()) return bound;
 
   // The shared lock only excludes mutations and compactions. The solver
-  // settles queued deltas under its own components lock and re-solves
-  // only dirty components, coordinating concurrent fills of one
-  // component through its history-shard lock; every other solve reads
-  // the maintained certain count.
+  // settles queued deltas and re-solves only dirty components under its
+  // own lock; a solve with nothing dirty reads the maintained certain
+  // count.
   SolveReport report;
   {
     std::shared_lock lock((*entry)->structure);
@@ -798,21 +791,12 @@ ServiceStats Service::Stats() const {
     d.snapshot_failures = entry->snapshot_failures;
     d.recoveries = entry->recoveries;
     // Snapshot the solver-map counters and list in one inc_mu section,
-    // but sum the shard counters outside it: a shard mutex can be held
-    // across a backend run, and blocking on it while holding inc_mu
+    // but sum the solver counters outside it: a solver lock is held
+    // across backend runs, and blocking on it while holding inc_mu
     // would stall every solve's solver-map probe for the duration
     // (solvers are shared_ptr-held, so the snapshot stays valid).
-    std::vector<std::shared_ptr<DbEntry::IncrementalEntry>> solvers;
-    {
-      std::lock_guard inc_lock(entry->inc_mu);
-      d.solvers = entry->incremental.Counters();
-      entry->incremental.ForEach(
-          [&](const std::string&,
-              const std::shared_ptr<DbEntry::IncrementalEntry>& inc) {
-            solvers.push_back(inc);
-          });
-    }
-    for (const auto& inc : solvers) {
+    for (const auto& inc : LiveSolvers(
+             *entry, [&] { d.solvers = entry->incremental.Counters(); })) {
       d.verdicts += inc->solver->VerdictCacheCounters();
       d.sat += inc->solver->SatSessionStats();
       d.sat_solvers += inc->solver->SessionCacheCounters();
@@ -849,23 +833,16 @@ StatusOr<AuditReport> Service::AuditDatabase(std::string_view db_name) const {
   report.Merge(::cqa::AuditDatabase(entry->db));
   report.Merge(AuditPrepared(*entry->prepared));
 
-  // Snapshot the solver map under inc_mu, but run each solver's audit
-  // after releasing it: AuditInto takes the verdict shard locks, which
-  // share inc_mu's rank precisely because the two never nest.
-  std::vector<std::shared_ptr<DbEntry::IncrementalEntry>> solvers;
-  {
-    std::lock_guard inc_lock(entry->inc_mu);
+  // Audit the solver map under inc_mu, but run each solver's audit after
+  // releasing it: AuditInto takes the solver lock, which ranks above
+  // inc_mu.
+  auto audit_map = [&] {
     report.checks += 4;
     entry->incremental.AuditInvariants([&](const std::string& message) {
       report.Add("lru", "solver map: " + message);
     });
-    entry->incremental.ForEach(
-        [&](const std::string&,
-            const std::shared_ptr<DbEntry::IncrementalEntry>& inc) {
-          solvers.push_back(inc);
-        });
-  }
-  for (const auto& inc : solvers) {
+  };
+  for (const auto& inc : LiveSolvers(*entry, audit_map)) {
     inc->solver->AuditInto(report);
   }
 

@@ -53,21 +53,18 @@
 // only enqueue O(1) deltas per solver (engine/incremental.h), so batches
 // touching disjoint components spend their exclusive window on the
 // database/index writes alone; the union-find catch-up happens on the
-// next solve or audit of each query, under that solver's own components
-// lock. A solve then re-solves only the components that catch-up
-// dirtied; concurrent solves coordinate those fills through the history
-// cache's component-sharded locks: fills of disjoint components run
-// their backend passes in parallel; two solvers racing on the same
-// component serialize, and the loser reuses the winner's verdict.
-// Compile, registration, and solves on different databases also run
-// concurrently; a database dropped mid-solve stays alive until the solve
-// returns.
+// next solve or audit of each query, under that solver's own lock. A
+// solve then re-solves only the components that catch-up dirtied;
+// concurrent solves of one query on one database serialize on that
+// solver lock, and a later one reuses the verdicts an earlier one
+// attached. Solves of different queries, Compile, registration, and
+// solves on different databases run concurrently; a database dropped
+// mid-solve stays alive until the solve returns.
 //
 // The acquisition order across these locks is a machine-checked hierarchy
 // (base/lock_rank.h): kServiceRegistry (mutex_) > kDbEntry (structure) >
 // kWal (the DurableStore's WAL/snapshot lock) > kComponents (each
-// incremental solver's deferred-delta/partition lock) > kVerdictShard
-// (inc_mu and the history-cache shard locks). Checking builds
+// incremental solver's lock) > kVerdictShard (inc_mu). Checking builds
 // (Debug/sanitizer trees, CQA_LOCK_RANK) abort with both acquisition
 // stacks on any out-of-order acquisition.
 
@@ -76,6 +73,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -119,9 +117,8 @@ struct ServiceOptions {
   /// component contents that are no longer live, kept so reverted
   /// content, recovery and compaction re-use them instead of re-solving
   /// (0 = unbounded on that axis; live components hold their verdicts
-  /// outside it). The entry cap rounds up to a multiple of
-  /// IncrementalSolver::kNumShards (~100 bytes/verdict, so the default
-  /// costs at most a few MB per database/query pair).
+  /// outside it). Both caps are exact (~100 bytes/verdict, so the
+  /// default costs at most a few MB per database/query pair).
   CacheOptions verdict_cache{/*max_entries=*/65536, /*max_bytes=*/0};
   /// Keep per-component warm SAT sessions alive across mutations: with a
   /// session-capable backend (currently "sat"), each incremental solver
@@ -503,9 +500,9 @@ class Service {
     // Structure lock: mutations and compactions (which patch the
     // database, its preparation, and the component partitions) are
     // exclusive; every solve — including incremental solves that fill
-    // dirty components, which coordinate through the history cache's
-    // shard locks — is shared. Rank kDbEntry: below the registry lock,
-    // above the solver-map and shard locks.
+    // dirty components, which serialize on their solver's lock — is
+    // shared. Rank kDbEntry: below the registry lock, above the solver
+    // and solver-map locks.
     mutable RankedSharedMutex<LockRank::kDbEntry> structure;
     struct IncrementalEntry {
       // Pins the compiled state the solver points into — a handle
@@ -513,6 +510,8 @@ class Service {
       // cache) must not be freed while this entry can still use it.
       std::shared_ptr<const CompiledQuery::State> state;
       std::unique_ptr<IncrementalSolver> solver;
+      // This entry's key in `incremental` (and in persisted verdicts).
+      std::string key;
     };
     // Incremental solver per compiled query, keyed by canonical query
     // text + backend name; created on first incremental solve and
@@ -522,8 +521,7 @@ class Service {
     // solver simply stops receiving mutations and dies with the last
     // user). Guarded by inc_mu (the structure lock alone is not enough:
     // shared-mode solves mutate the map's LRU order). Rank kVerdictShard,
-    // like the solver's shard locks: both are taken under the structure
-    // lock and never inside each other.
+    // the innermost: no other lock is ever taken while it is held.
     mutable RankedMutex<LockRank::kVerdictShard> inc_mu;
     LruCache<std::string, std::shared_ptr<IncrementalEntry>> incremental;
     // Compactions run on this database; written under the exclusive
@@ -578,9 +576,11 @@ class Service {
   std::shared_ptr<DbEntry::IncrementalEntry> IncrementalFor(
       DbEntry& entry, const CompiledQuery& q) const;
 
-  /// Snapshots the entry's live solvers (for mutation fan-out).
+  /// Snapshots the entry's live solvers, running `under_inc_mu` (when
+  /// set) in the same inc_mu section. Solver calls belong after the
+  /// return: a solver lock ranks above inc_mu.
   std::vector<std::shared_ptr<DbEntry::IncrementalEntry>> LiveSolvers(
-      DbEntry& entry) const;
+      DbEntry& entry, const std::function<void()>& under_inc_mu = {}) const;
 
   /// Takes the automatic snapshot a mutation batch earned, if any,
   /// counting a failure in snapshot_failures. Caller holds the exclusive

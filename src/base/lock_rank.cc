@@ -104,9 +104,9 @@ void PushRank(LockRank rank, const void* mutex) {
   pending.mutex = mutex;
   CaptureStack(&pending);
   // Strictly-decreasing discipline: every held rank must be above the one
-  // being acquired. Equal ranks never nest (same-rank locks — the shard
-  // locks, the solver-map lock — are taken one at a time by design), so
-  // equality is an inversion too.
+  // being acquired. Equal ranks never nest (same-rank locks — two
+  // solvers' locks, two solver-map locks — are taken one at a time by
+  // design), so equality is an inversion too.
   for (int i = 0; i < stack.depth; ++i) {
     if (static_cast<int>(stack.held[i].rank) <= static_cast<int>(rank)) {
       RankInversion(pending, stack.held[i]);

@@ -2,11 +2,11 @@
 //
 // The engine's locking discipline spans three layers — the service
 // registry lock, each database entry's structure lock and solver-map
-// lock, and the verdict cache's sixteen component-shard locks — and the
-// only thing that keeps them deadlock-free is the *order* they are
-// acquired in. TSan finds data races but not lock-order inversions that
-// never happen to deadlock during a test run; this header makes the
-// order itself machine-checked.
+// lock, and each incremental solver's own lock — and the only thing that
+// keeps them deadlock-free is the *order* they are acquired in. TSan
+// finds data races but not lock-order inversions that never happen to
+// deadlock during a test run; this header makes the order itself
+// machine-checked.
 //
 // The hierarchy (higher rank = acquired first; a thread may only acquire
 // a lock whose rank is strictly below every rank it already holds):
@@ -20,25 +20,22 @@
 //   kWal               DurableStore's mutex serializing WAL appends and
 //                      snapshot writes. Mutations take it under the
 //                      structure lock (append-then-apply); a snapshot
-//                      takes verdict-shard locks under it to export the
-//                      verdict cache.
-//   kComponents        Each IncrementalSolver's reader/writer lock over
-//                      its component partition. Mutations only *enqueue*
-//                      deltas (under the exclusive structure lock, no
-//                      kComponents acquisition); the next solve flushes
-//                      the queue exclusive, then reads the partition
-//                      shared while its shard-locked backend runs fill
-//                      the verdict cache. Never taken with kWal held
-//                      (compaction flushes before the snapshot path).
-//   kVerdictShard      DbEntry::inc_mu (the solver-map lock) and the
-//                      16 IncrementalSolver shard locks. Taken under the
-//                      structure lock; inc_mu and a shard lock are never
-//                      nested inside each other (Service::Stats snapshots
-//                      the solver list under inc_mu, then sums shard
+//                      exports the verdicts before taking it.
+//   kComponents        Each IncrementalSolver's one mutex over its
+//                      component partition, unsolved list, certain
+//                      count, history cache and warm session. Mutations
+//                      only *enqueue* deltas (under the exclusive
+//                      structure lock, no kComponents acquisition); a
+//                      solve holds it while it flushes the queue and
+//                      runs the backend on dirty components.
+//   kVerdictShard      DbEntry::inc_mu (the solver-map lock). Taken
+//                      under the structure lock, and no solver lock is
+//                      taken while it is held (Service::Stats snapshots
+//                      the solver list under inc_mu, then reads solver
 //                      counters after releasing it).
-//   kSolverInternal    Reserved for locks inside a backend run (none in
-//                      the tree today); anything a backend adds must sit
-//                      below the shard locks it runs under.
+//   kSolverInternal    No user: the lowest rank, for a lock that would
+//                      have to nest under a solver's lock during a
+//                      backend run.
 //
 // RankedMutex/RankedSharedMutex wrap std::mutex/std::shared_mutex and, in
 // checking builds, maintain a per-thread stack of held ranks; an
@@ -63,17 +60,14 @@ namespace cqa {
 /// The lock hierarchy, highest (acquired first) to lowest. Numeric value
 /// grows with rank so "may acquire" is a plain integer comparison.
 enum class LockRank : int {
-  kSolverInternal = 0,  ///< Below everything: locks inside a backend run.
-  kVerdictShard = 1,    ///< Solver-map lock + verdict-cache shard locks.
-  kComponents = 2,      ///< Each IncrementalSolver's component-partition
-                        ///< lock: solves hold it shared while reading the
-                        ///< partition (and across their shard-locked
-                        ///< backend runs); flushing queued mutation
-                        ///< deltas, remaps, and audits take it exclusive.
+  kSolverInternal = 0,  ///< Below everything; no user.
+  kVerdictShard = 1,    ///< The solver-map lock (DbEntry::inc_mu).
+  kComponents = 2,      ///< Each IncrementalSolver's lock: solves,
+                        ///< flushes of queued mutation deltas, remaps,
+                        ///< audits and counter reads take it.
   kWal = 3,             ///< DurableStore's WAL/snapshot lock. Taken under
                         ///< the structure lock (mutations append before
-                        ///< applying); may take verdict-shard locks below
-                        ///< it (snapshot exports the verdict cache).
+                        ///< applying).
   kDbEntry = 4,         ///< Per-database structure (reader/writer) lock.
   kServiceRegistry = 5, ///< Service registry / compile-cache lock.
 };

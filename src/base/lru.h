@@ -8,8 +8,8 @@
 // Hit/miss/eviction counters feed Service::Stats().
 //
 // Not internally synchronized: callers that share a cache across threads
-// wrap it in their own mutex (engine/incremental.h shards the cache and
-// gives every shard its own lock so disjoint components never contend).
+// wrap it in their own mutex (engine/incremental.h guards its history
+// cache with the solver lock).
 
 #ifndef CQA_BASE_LRU_H_
 #define CQA_BASE_LRU_H_
@@ -29,7 +29,7 @@ struct CacheOptions {
   std::size_t max_bytes = 0;    ///< 0 = no byte bound.
 };
 
-/// Point-in-time counters of one LruCache (or a sum over shards).
+/// Point-in-time counters of one LruCache (or a sum over caches).
 struct CacheCounters {
   std::size_t entries = 0;
   std::size_t bytes = 0;

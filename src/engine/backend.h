@@ -61,9 +61,8 @@ struct ComponentVerdict {
 /// the parent database — no sub-database materialization.
 ///
 /// Not internally synchronized: the engine serializes all calls on one
-/// session instance (IncrementalSolver holds it under a
-/// LockRank::kSolverInternal mutex, which nests under the verdict-shard
-/// locks).
+/// session instance (IncrementalSolver calls it under the solver lock,
+/// LockRank::kComponents).
 class ComponentSession {
  public:
   virtual ~ComponentSession() = default;

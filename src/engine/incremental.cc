@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -23,34 +23,16 @@ IncrementalSolver::IncrementalSolver(const CertainSolver& solver,
                                      const PreparedDatabase& pdb,
                                      CacheOptions cache_options,
                                      SessionOptions session_options)
-    : solver_(&solver), pdb_(&pdb), components_(solver.query(), pdb) {
+    : solver_(&solver),
+      pdb_(&pdb),
+      components_(solver.query(), pdb),
+      history_(cache_options) {
   if (session_options.enabled) {
     session_ = solver.backend().NewSession(session_options.cache,
                                            session_options.solver);
   }
-  // Split the caps evenly over the shards (0 stays "unbounded"). Rounding
-  // up keeps the total at least the requested cap; the effective bound is
-  // a multiple of kNumShards.
-  CacheOptions per_shard;
-  if (cache_options.max_entries != 0) {
-    per_shard.max_entries =
-        (cache_options.max_entries + kNumShards - 1) / kNumShards;
-  }
-  if (cache_options.max_bytes != 0) {
-    per_shard.max_bytes = (cache_options.max_bytes + kNumShards - 1) / kNumShards;
-  }
-  for (Shard& shard : shards_) {
-    shard.cache =
-        LruCache<ComponentFingerprint, std::shared_ptr<const CachedVerdict>,
-                 ComponentFingerprintHash>(per_shard);
-  }
   // Every initial component is dirty: list them all as unsolved.
   (void)SettleLocked();
-}
-
-void IncrementalSolver::Enqueue(FactId f, bool insert) {
-  pending_.push_back(PendingDelta{f, insert});
-  pending_count_.store(pending_.size(), std::memory_order_release);
 }
 
 std::size_t IncrementalSolver::SettleLocked() const {
@@ -62,17 +44,14 @@ std::size_t IncrementalSolver::SettleLocked() const {
     }
   }
   pending_.clear();
-  pending_count_.store(0, std::memory_order_release);
 
   DynamicComponents::DirtyLog dirty = components_.TakeDirty();
   std::size_t evictions = 0;
   for (DynamicComponents::RetiredVerdict& retired : dirty.retired) {
-    if (retired.verdict->certain) certain_count_.fetch_sub(1);
-    Shard& shard = ShardFor(retired.fingerprint);
-    std::lock_guard lock(shard.mu);
+    if (retired.verdict->certain) --certain_count_;
     std::size_t bytes = VerdictBytes(*retired.verdict);
-    evictions += shard.cache.Insert(retired.fingerprint,
-                                    std::move(retired.verdict), bytes);
+    evictions += history_.Insert(retired.fingerprint,
+                                 std::move(retired.verdict), bytes);
   }
 
   // Keep the listed and newly dirtied roots that are still live and
@@ -92,58 +71,40 @@ std::size_t IncrementalSolver::SettleLocked() const {
   listed.erase(std::unique(listed.begin(), listed.end()), listed.end());
   unsolved_.clear();
   for (const auto& [min_member, root] : listed) unsolved_.push_back(root);
-  unsolved_filled_.store(false);
   return evictions;
 }
 
-std::size_t IncrementalSolver::Settle() const {
-  if (pending_count_.load(std::memory_order_acquire) == 0 &&
-      !unsolved_filled_.load()) {
-    return 0;
-  }
-  std::unique_lock lock(components_mu_);
-  // No re-check needed for correctness (settling twice is a no-op), but
-  // racing settlers both seeing work is common enough that the second
-  // pass over an already-settled state is the cheap path.
-  return SettleLocked();
+void IncrementalSolver::FlushPending() const {
+  std::lock_guard lock(mu_);
+  (void)SettleLocked();
 }
 
 void IncrementalSolver::ApplyRemap(const FactIdRemap& remap) {
-  {
-    std::unique_lock lock(components_mu_);
-    // Queued deltas hold pre-remap ids and read tombstoned tuples the
-    // compaction just destroyed; the caller must have flushed first.
-    CQA_CHECK_MSG(pending_.empty(),
-                  "ApplyRemap with queued deltas (FlushPending before "
-                  "Database::Compact)");
-    components_.ApplyRemap(remap);
-    // Listed roots are live components' roots, hence alive facts.
-    for (FactId& root : unsolved_) {
-      root = remap.Apply(root);
-      CQA_CHECK(root != Database::kNoFact);
-    }
+  std::lock_guard lock(mu_);
+  // Queued deltas hold pre-remap ids and read tombstoned tuples the
+  // compaction just destroyed; the caller must have flushed first.
+  CQA_CHECK_MSG(pending_.empty(),
+                "ApplyRemap with queued deltas (FlushPending before "
+                "Database::Compact)");
+  components_.ApplyRemap(remap);
+  // Listed roots are live components' roots, hence alive facts.
+  for (FactId& root : unsolved_) {
+    root = remap.Apply(root);
+    CQA_CHECK(root != Database::kNoFact);
   }
-  if (session_ != nullptr) {
-    std::lock_guard lock(session_mu_);
-    session_->ApplyRemap(remap);
-  }
+  if (session_ != nullptr) session_->ApplyRemap(remap);
 }
 
 CdclStats IncrementalSolver::SatSessionStats() const {
   if (session_ == nullptr) return CdclStats{};
-  std::lock_guard lock(session_mu_);
+  std::lock_guard lock(mu_);
   return session_->Stats();
 }
 
 CacheCounters IncrementalSolver::SessionCacheCounters() const {
   if (session_ == nullptr) return CacheCounters{};
-  std::lock_guard lock(session_mu_);
+  std::lock_guard lock(mu_);
   return session_->CacheStats();
-}
-
-IncrementalSolver::Shard& IncrementalSolver::ShardFor(
-    const ComponentFingerprint& fp) const {
-  return shards_[ComponentFingerprintHash()(fp) % kNumShards];
 }
 
 std::size_t IncrementalSolver::VerdictBytes(const CachedVerdict& verdict) {
@@ -155,12 +116,8 @@ std::size_t IncrementalSolver::VerdictBytes(const CachedVerdict& verdict) {
 }
 
 CacheCounters IncrementalSolver::VerdictCacheCounters() const {
-  CacheCounters total;
-  for (const Shard& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    total += shard.cache.Counters();
-  }
-  return total;
+  std::lock_guard lock(mu_);
+  return history_.Counters();
 }
 
 std::vector<store::PersistedVerdict> IncrementalSolver::ExportVerdicts()
@@ -176,113 +133,88 @@ std::vector<store::PersistedVerdict> IncrementalSolver::ExportVerdicts()
     out.push_back(std::move(p));
   };
   std::unordered_set<ComponentFingerprint, ComponentFingerprintHash> live;
-  {
-    std::shared_lock lock(components_mu_);
-    for (const auto& [root, comp] : components_.components()) {
-      // Attached verdicts are written under the shard lock.
-      std::lock_guard shard_lock(ShardFor(comp.fingerprint).mu);
-      if (comp.verdict == nullptr) continue;
-      if (live.insert(comp.fingerprint).second) {
-        add(comp.fingerprint, *comp.verdict);
-      }
+  std::lock_guard lock(mu_);
+  for (const auto& [root, comp] : components_.components()) {
+    if (comp.verdict == nullptr) continue;
+    if (live.insert(comp.fingerprint).second) {
+      add(comp.fingerprint, *comp.verdict);
     }
   }
-  for (const Shard& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    shard.cache.ForEach(
-        [&](const ComponentFingerprint& fp,
-            const std::shared_ptr<const CachedVerdict>& verdict) {
-          if (live.count(fp) == 0) add(fp, *verdict);
-        });
-  }
+  history_.ForEach([&](const ComponentFingerprint& fp,
+                       const std::shared_ptr<const CachedVerdict>& verdict) {
+    if (live.count(fp) == 0) add(fp, *verdict);
+  });
   return out;
 }
 
 void IncrementalSolver::ImportVerdicts(
     const std::vector<store::PersistedVerdict>& verdicts) {
+  std::lock_guard lock(mu_);
   for (const store::PersistedVerdict& p : verdicts) {
+    if (history_.Find(p.fingerprint, /*count=*/false) != nullptr) continue;
     CachedVerdict cv{p.certain, p.has_witness, p.witness_facts};
     std::size_t bytes = VerdictBytes(cv);
-    Shard& shard = ShardFor(p.fingerprint);
-    std::lock_guard lock(shard.mu);
-    if (shard.cache.Find(p.fingerprint, /*count=*/false) != nullptr) continue;
-    shard.cache.Insert(p.fingerprint,
-                       std::make_shared<const CachedVerdict>(std::move(cv)),
-                       bytes);
+    history_.Insert(p.fingerprint,
+                    std::make_shared<const CachedVerdict>(std::move(cv)),
+                    bytes);
   }
 }
 
 void IncrementalSolver::AuditInto(AuditReport& report) const {
-  {
-    // Exclusive: the audit settles the delta queue and then compares the
-    // settled partition and its verdicts against fresh re-derivations; a
-    // concurrent solve's flush or fill must not interleave.
-    std::unique_lock lock(components_mu_);
-    (void)SettleLocked();
-    AuditReport partition =
-        AuditComponents(solver_->query(), *pdb_, components_);
-    bool sane = partition.ok();
-    report.Merge(partition);
-    // Re-solving needs sane member lists.
-    if (sane) {
-      auto check = [&report](bool ok, const std::string& message) {
-        ++report.checks;
-        if (!ok) report.Add("verdicts", message);
-      };
-      std::unordered_set<FactId> listed(unsolved_.begin(), unsolved_.end());
-      std::size_t certain = 0;
-      for (const auto& [root, comp] : components_.components()) {
-        std::string name = "component " + std::to_string(root);
-        if (comp.verdict == nullptr) {
-          check(listed.count(root) != 0,
-                name + " has no verdict and is not listed unsolved");
-          continue;
-        }
-        check(listed.count(root) == 0,
-              name + " has a verdict but is listed unsolved");
-        if (comp.verdict->certain) ++certain;
-        check(!(comp.verdict->certain && comp.verdict->has_witness),
-              name + " is certain yet carries a falsifying witness");
-        bool fresh = SolveMaterialized(comp.members, false).certain;
-        check(fresh == comp.verdict->certain,
-              name + " has attached verdict certain=" +
-                  std::to_string(comp.verdict->certain) +
-                  ", a fresh backend run says " + std::to_string(fresh));
+  // The audit settles the delta queue and then compares the settled
+  // partition and its verdicts against fresh re-derivations; a
+  // concurrent solve's flush or fill must not interleave.
+  std::lock_guard lock(mu_);
+  (void)SettleLocked();
+  AuditReport partition = AuditComponents(solver_->query(), *pdb_, components_);
+  bool sane = partition.ok();
+  report.Merge(partition);
+  // Re-solving needs sane member lists.
+  if (sane) {
+    auto check = [&report](bool ok, const std::string& message) {
+      ++report.checks;
+      if (!ok) report.Add("verdicts", message);
+    };
+    std::unordered_set<FactId> listed(unsolved_.begin(), unsolved_.end());
+    std::size_t certain = 0;
+    for (const auto& [root, comp] : components_.components()) {
+      std::string name = "component " + std::to_string(root);
+      if (comp.verdict == nullptr) {
+        check(listed.count(root) != 0,
+              name + " has no verdict and is not listed unsolved");
+        continue;
       }
-      std::size_t counted = certain_count_.load();
-      check(counted == certain,
-            "certain count is " + std::to_string(counted) + " but " +
-                std::to_string(certain) +
-                " live components hold a certain verdict");
-      if (session_ != nullptr) {
-        std::lock_guard session_lock(session_mu_);
-        session_->AuditInto(*pdb_, report);
-      }
+      check(listed.count(root) == 0,
+            name + " has a verdict but is listed unsolved");
+      if (comp.verdict->certain) ++certain;
+      check(!(comp.verdict->certain && comp.verdict->has_witness),
+            name + " is certain yet carries a falsifying witness");
+      bool fresh = SolveMaterialized(comp.members, false).certain;
+      check(fresh == comp.verdict->certain,
+            name + " has attached verdict certain=" +
+                std::to_string(comp.verdict->certain) +
+                ", a fresh backend run says " + std::to_string(fresh));
     }
+    check(certain_count_ == certain,
+          "certain count is " + std::to_string(certain_count_) + " but " +
+              std::to_string(certain) +
+              " live components hold a certain verdict");
+    if (session_ != nullptr) session_->AuditInto(*pdb_, report);
   }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& shard = shards_[i];
-    std::lock_guard lock(shard.mu);
-    report.checks += 4;  // The four LRU invariant families below.
-    shard.cache.AuditInvariants([&](const std::string& message) {
-      report.Add("lru", "history shard " + std::to_string(i) + ": " + message);
-    });
-  }
+  report.checks += 4;  // The four LRU invariant families below.
+  history_.AuditInvariants([&](const std::string& message) {
+    report.Add("lru", "history cache: " + message);
+  });
 }
 
 CachedVerdict IncrementalSolver::SolveComponent(
     const std::vector<FactId>& members, bool want_witness) const {
   // Warm path: the backend session solves the component in place over the
-  // parent database, reusing a per-component incremental solver. The
-  // session lock (rank kSolverInternal) nests under this call's
-  // history-shard lock.
+  // parent database, reusing a per-component incremental solver.
   if (session_ == nullptr) return SolveMaterialized(members, want_witness);
   bool explain = want_witness && solver_->backend().CanExplain();
-  ComponentVerdict v;
-  {
-    std::lock_guard lock(session_mu_);
-    v = session_->SolveComponent(*pdb_, components_, members, explain);
-  }
+  ComponentVerdict v =
+      session_->SolveComponent(*pdb_, components_, members, explain);
   CachedVerdict verdict;
   verdict.certain = v.certain;
   if (!v.certain && explain) {
@@ -330,19 +262,13 @@ std::shared_ptr<const CachedVerdict> IncrementalSolver::Fill(
   auto usable = [can_explain](const CachedVerdict& v) {
     return !can_explain || v.certain || v.has_witness;
   };
-  // The shard lock is held across the backend run: a concurrent solver
-  // of the same component blocks here and then finds the attached
-  // verdict, so no backend run is duplicated; components on other shards
-  // proceed in parallel.
-  Shard& shard = ShardFor(comp.fingerprint);
-  std::lock_guard lock(shard.mu);
   std::shared_ptr<const CachedVerdict> attached = comp.verdict;
   if (attached != nullptr && usable(*attached)) return attached;
   // A present-but-unusable history entry is a miss to us (the backend
   // will run), so count usability, not mere presence.
-  auto* hit = shard.cache.Find(comp.fingerprint, /*count=*/false);
+  auto* hit = history_.Find(comp.fingerprint, /*count=*/false);
   bool served = hit != nullptr && usable(**hit);
-  shard.cache.CountLookup(served);
+  history_.CountLookup(served);
   std::shared_ptr<const CachedVerdict> verdict;
   if (served) {
     verdict = *hit;
@@ -351,52 +277,41 @@ std::shared_ptr<const CachedVerdict> IncrementalSolver::Fill(
         SolveComponent(comp.members, want_witness));
     ++*resolved;
   }
-  if (attached != nullptr && attached->certain) certain_count_.fetch_sub(1);
-  if (verdict->certain) certain_count_.fetch_add(1);
+  if (attached != nullptr && attached->certain) --certain_count_;
+  if (verdict->certain) ++certain_count_;
   components_.SetVerdict(root, verdict);
   return verdict;
 }
 
 SolveReport IncrementalSolver::Solve(bool want_witness) const {
   const Database& db = pdb_->db();
-  const Classification& classification = solver_->classification();
   const CertainBackend& backend = solver_->backend();
   bool can_explain = want_witness && backend.CanExplain();
 
-  SolveReport report;
-  report.query_class = classification.query_class;
-  report.complexity = classification.complexity;
-  report.algorithm = backend.algorithm();
-  report.backend_name = std::string(backend.name());
-  report.num_facts = db.NumAliveFacts();
-  report.num_blocks = pdb_->blocks().size();
+  SolveReport report =
+      ReportHeader(solver_->classification(), backend, *pdb_);
   report.incremental = true;
+  report.sat_warm = session_ != nullptr;
 
   auto start = std::chrono::steady_clock::now();
 
-  // Settle the partition, then read it shared: deltas queued by earlier
-  // mutations are drained here (exclusive, serialized against other
-  // settlers), and the shared hold below keeps the partition and the
-  // unsolved list stable while concurrent solves fill in parallel. No
-  // new delta can arrive mid-solve — enqueues need the exclusive
-  // structure lock the caller of Solve holds shared.
-  report.cache_evictions = Settle();
-  std::shared_lock components_lock(components_mu_);
+  // Drain the deltas queued by earlier mutations, then fill and empty
+  // the unsolved list, all in one critical section: a concurrent solve
+  // waits here and then finds every verdict this one attached. No new
+  // delta can arrive mid-solve — enqueues need the exclusive structure
+  // lock the caller of Solve holds shared.
+  std::lock_guard lock(mu_);
+  report.cache_evictions = SettleLocked();
   const auto& live = components_.components();
   report.components_total = live.size();
 
-  // Only dirty components lack a verdict; every solve walks the whole
-  // list, so by the time it reads the count every listed component has
-  // one (attached by this solve or, under the same shard lock, by a
-  // concurrent one).
+  // Only dirty components lack a verdict.
   std::uint64_t resolved = 0;
   for (FactId root : unsolved_) {
     (void)Fill(root, live.at(root), want_witness, &resolved);
   }
-  if (!unsolved_.empty()) {
-    unsolved_filled_.store(true);
-  }
-  bool certain = certain_count_.load() > 0;
+  unsolved_.clear();
+  bool certain = certain_count_ > 0;
   report.certain = certain;
 
   // Merge the per-component falsifying repairs into one whole-database
@@ -427,12 +342,6 @@ SolveReport IncrementalSolver::Solve(bool want_witness) const {
   }
   report.components_resolved = resolved;
   report.components_cached = report.components_total - resolved;
-
-  if (session_ != nullptr) {
-    report.sat_warm = true;
-    report.sat = SatSessionStats();
-  }
-
   report.timings.solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

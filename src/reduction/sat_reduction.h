@@ -110,8 +110,8 @@ CnfFormula EncodeFalsifierCnf(const SolutionSet& solutions,
 /// component this instance is paired with (anchor collision, merge or
 /// split): reuse is purely a performance heuristic.
 ///
-/// Not thread-safe; the engine serializes access per instance under
-/// LockRank::kSolverInternal.
+/// Not thread-safe; the engine serializes access per instance under the
+/// incremental solver's lock (LockRank::kComponents).
 class IncrementalFalsifier {
  public:
   explicit IncrementalFalsifier(CdclOptions options = CdclOptions());

@@ -99,7 +99,7 @@ struct CdclOptions {
 /// A persistent incremental CDCL solver.
 ///
 /// Not thread-safe; callers serialize access (the engine holds such
-/// solvers under LockRank::kSolverInternal).
+/// solvers under the incremental solver's lock, LockRank::kComponents).
 class CdclSolver {
  public:
   explicit CdclSolver(CdclOptions options = CdclOptions());

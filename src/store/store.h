@@ -30,8 +30,8 @@
 // database plus the persisted verdict cache for the service to import.
 //
 // All methods serialize on one RankedMutex<kWal>, which sits below the
-// per-database structure lock (mutations already hold that exclusively)
-// and above the verdict-shard locks (snapshot export takes them).
+// per-database structure lock (mutations already hold that exclusively).
+// The verdicts a snapshot persists are exported before it is taken.
 
 #ifndef CQA_STORE_STORE_H_
 #define CQA_STORE_STORE_H_

@@ -156,7 +156,7 @@ class TestCorruptor {
 
   /// The maintained count of certain components drifts by one.
   static void BumpCertainCount(IncrementalSolver& solver) {
-    solver.certain_count_.fetch_add(1);
+    ++solver.certain_count_;
   }
 
   /// One live component keeps a verdict its content no longer has — the

@@ -1,6 +1,6 @@
-// TSan-friendly stress for the component-sharded locking scheme: cache-
-// filling solves from many threads must agree and fill the verdict cache
-// exactly once per component, and mutations on disjoint key spaces
+// TSan-friendly stress for the per-solver locking scheme: cache-filling
+// solves from many threads must agree and fill the verdict cache exactly
+// once per component, and mutations on disjoint key spaces
 // interleaved with solves (and automatic compactions) must linearize —
 // the final state is the one big sequential history would produce, and
 // every intermediate report is internally consistent. Run under
@@ -70,8 +70,8 @@ TEST(ConcurrencyTest, ParallelCacheFillingSolvesAgreeAndFillOnce) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(wrong.load(), 0);
-  // The shard locks serialize same-component fills: every component is
-  // resolved by exactly one thread; everyone else reuses its verdict.
+  // The solver lock serializes fills: every component is resolved by
+  // exactly one thread; everyone else reuses its verdict.
   EXPECT_EQ(resolved.load(), static_cast<std::uint64_t>(kComponents));
 
   StatusOr<SolveReport> final_report = service.Solve(*q, "db");

@@ -527,6 +527,38 @@ TEST(IncrementalSolverTest, DeltaSolveLooksUpOnlyDirtyComponents) {
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
+// The history cache's entry cap is exact: retiring far more distinct
+// component contents than the cap never leaves more than the cap cached,
+// at any step.
+TEST(IncrementalSolverTest, HistoryCacheHoldsItsExactEntryCap) {
+  ServiceOptions options;
+  options.verdict_cache = CacheOptions{/*max_entries=*/5, /*max_bytes=*/0};
+  Service service(options);
+  StatusOr<CompiledQuery> q = service.Compile("R(x | y) R(y | z)");
+  ASSERT_TRUE(q.ok());
+  Database db(q->query().schema());
+  db.AddFactStr(0, "a b");
+  ASSERT_TRUE(service.RegisterDatabase("db", std::move(db)).ok());
+
+  // Every R(b | c<i>) joins the one component, so each solve retires the
+  // verdict of its previous content: 40 distinct retired contents.
+  const int kSteps = 40;
+  for (int i = 0; i < kSteps; ++i) {
+    ASSERT_TRUE(service.Solve(*q, "db").ok());
+    ASSERT_TRUE(
+        service.InsertFacts("db", {{"R", {"b", "c" + std::to_string(i)}}})
+            .ok());
+    ServiceStats stats = service.Stats();
+    ASSERT_EQ(stats.databases.size(), 1u);
+    ASSERT_LE(stats.databases[0].verdicts.entries, 5u) << "step " << i;
+  }
+  ASSERT_TRUE(service.Solve(*q, "db").ok());
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.databases[0].verdicts.entries, 5u);
+  EXPECT_EQ(stats.databases[0].verdicts.evictions,
+            static_cast<std::uint64_t>(kSteps - 5));
+}
+
 // ---------------------------------------------------------------------
 // Warm per-component SAT sessions vs the materialized cold path.
 // ---------------------------------------------------------------------

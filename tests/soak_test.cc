@@ -4,7 +4,7 @@
 // throughout that
 //   - the resident fact-slot count stays within the compaction bound,
 //   - the verdict-cache entry count stays within CacheOptions.max_entries
-//     (modulo shard rounding) and the solver map within its cap,
+//     and the solver map within its cap,
 //   - delta-solve answers stay identical to rebuild-solve answers and
 //     witnesses verify,
 //   - under the sat backend with the clause-DB reduction thresholds
@@ -221,10 +221,8 @@ TEST(SoakTest, BoundsHoldAndAnswersMatchRebuildUnder10kMutations) {
                       static_cast<double>(d.alive_facts) / 0.6) +
                       options.compact_min_slots)
             << "config " << config << " step " << step;
-        // Verdict bound: max_entries rounds up to a shard multiple.
-        ASSERT_LE(d.verdicts.entries,
-                  options.verdict_cache.max_entries +
-                      IncrementalSolver::kNumShards)
+        // Verdict bound: the history cache's entry cap is exact.
+        ASSERT_LE(d.verdicts.entries, options.verdict_cache.max_entries)
             << "config " << config << " step " << step;
         ASSERT_LE(d.solvers.entries, options.solver_cache.max_entries);
         // Learned-memory bound: clause-DB reduction must keep each warm
