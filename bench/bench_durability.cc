@@ -21,6 +21,8 @@
 // Emits BENCH_durability.json (bench/bench_json.h). --smoke shrinks the
 // program for the main-CI artifact run; the nightly job runs full size.
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -95,9 +97,12 @@ Schema OneRelationSchema() {
   return schema;
 }
 
-std::string DataDir(const std::string& variant) {
-  return "/tmp/cqa_bench_durability_" + variant;
+// Per-process, so two runs at once never share files; removed at the end.
+std::string DataRoot() {
+  return "/tmp/cqa_bench_durability_" + std::to_string(::getpid()) + "/";
 }
+
+std::string DataDir(const std::string& variant) { return DataRoot() + variant; }
 
 ServiceOptions DurableOptions(const std::string& dir,
                               store::FsyncPolicy fsync) {
@@ -272,6 +277,8 @@ void Run(const Config& config) {
   }
   store::ClearFault();
   RunRecoveryExperiment(recover_dir, out, &writer);
+
+  CQA_CHECK(store::RemoveDirRecursive(DataRoot()).ok());
 
   std::string path = writer.WriteMerged(config.out_dir);
   std::fprintf(out, "\nwrote %s (label=%s, %zu entries)\n", path.c_str(),

@@ -6,8 +6,10 @@
 // runs every registered backend that supports the query on one random
 // instance (forcing each via CompileOptions::forced_backend — backends
 // that cannot answer the query surface a CAPABILITY_MISMATCH status), and
-// finishes with a SolveBatch throughput measurement.
+// finishes by timing a serial loop of Service::Solve over 64 random
+// instances.
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -60,26 +62,28 @@ int main(int argc, char** argv) {
                 report->witness.has_value() ? "  [witness attached]" : "");
   }
 
-  std::vector<Database> batch_dbs;
+  std::vector<Database> dbs;
   for (int i = 0; i < 64; ++i) {
-    batch_dbs.push_back(RandomInstance(q->query(), params, &rng));
+    dbs.push_back(RandomInstance(q->query(), params, &rng));
   }
-  BatchStats stats;
-  std::vector<StatusOr<SolveReport>> reports =
-      service.SolveBatch(*q, batch_dbs, &stats);
   std::size_t certain = 0;
   std::size_t failed = 0;
-  for (const StatusOr<SolveReport>& r : reports) {
+  auto start = std::chrono::steady_clock::now();
+  for (const Database& each : dbs) {
+    StatusOr<SolveReport> r = service.Solve(*q, each);
     if (!r.ok()) {
       ++failed;
     } else if (r->certain) {
       ++certain;
     }
   }
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
   std::printf(
-      "\nbatch: %llu databases on %u threads in %.3fs (%.0f queries/sec), "
+      "\nserial: %zu databases in %.3fs (%.0f queries/sec), "
       "%zu certain, %zu failed\n",
-      static_cast<unsigned long long>(stats.queries), stats.threads_used,
-      stats.wall_seconds, stats.queries_per_sec, certain, failed);
+      dbs.size(), seconds, seconds > 0.0 ? dbs.size() / seconds : 0.0,
+      certain, failed);
   return 0;
 }

@@ -1,6 +1,5 @@
 #include "api/report.h"
 
-#include <chrono>
 #include <cstdio>
 
 namespace cqa {
@@ -39,18 +38,6 @@ SolveReport ReportHeader(const Classification& classification,
   report.backend_name = std::string(backend.name());
   report.num_facts = pdb.db().NumAliveFacts();
   report.num_blocks = pdb.blocks().size();
-  return report;
-}
-
-SolveReport ExecuteReport(const Classification& classification,
-                          const CertainBackend& backend,
-                          const PreparedDatabase& pdb, bool want_witness) {
-  SolveReport report = ReportHeader(classification, backend, pdb);
-  auto start = std::chrono::steady_clock::now();
-  report.certain = backend.Answer(pdb, want_witness, &report.witness);
-  report.timings.solve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   return report;
 }
 

@@ -1,15 +1,15 @@
 // SolveReport: the answer to certain(q) with full provenance.
 //
 // Like api/status.h, this is boundary *vocabulary*, not machinery: it
-// depends only on layers below engine/, so engine/batch.h can speak
-// StatusOr<SolveReport> without pulling the Service in — the dependency
-// between engine/ and the api/ machinery stays one-way (api uses engine).
+// depends only on layers below engine/, so engine/solver.h and
+// engine/incremental.h can speak SolveReport without pulling the Service
+// in — the dependency between engine/ and the api/ machinery stays
+// one-way (api uses engine).
 //
-// Replaces the bare SolverAnswer {bool, enum} at the API boundary: every
-// solve reports what was decided, by which dichotomy class and algorithm,
-// how long each phase took, how big the instance was, and — when the
-// answer is not certain and the backend supports Explain — a falsifying
-// repair witness that VerifyWitness (api/witness.h) can check
+// Every solve reports what was decided, by which dichotomy class and
+// algorithm, how long each phase took, how big the instance was, and —
+// when the answer is not certain and the backend supports Explain — a
+// falsifying repair witness that VerifyWitness (api/witness.h) can check
 // independently.
 
 #ifndef CQA_API_REPORT_H_
@@ -65,8 +65,8 @@ struct SolveReport {
   std::uint64_t num_blocks = 0;
 
   /// Component-level reuse (set only by solves of registered databases,
-  /// which go through IncrementalSolver; zero/false on ad-hoc and batch
-  /// solves of caller-owned databases).
+  /// which go through IncrementalSolver; zero/false on solves of
+  /// caller-owned databases).
   /// components_resolved + components_cached == components_total.
   bool incremental = false;
   std::uint64_t components_total = 0;
@@ -104,20 +104,12 @@ struct SolveReport {
 
 /// The provenance every solve report carries: dichotomy class,
 /// complexity, algorithm and backend name, plus `pdb`'s alive facts and
-/// blocks. The answer, counters and timings are the caller's.
+/// blocks. The answer, counters and timings are the caller's. Shared by
+/// CertainSolver::Solve and IncrementalSolver::Solve, so the two solve
+/// paths' reports cannot drift apart.
 SolveReport ReportHeader(const Classification& classification,
                          const CertainBackend& backend,
                          const PreparedDatabase& pdb);
-
-/// Runs a prepared `backend` on `pdb` and assembles the per-call part of
-/// the report: answer, provenance, counters, solve timing, and (when
-/// `want_witness` and not certain) the backend's witness, decided by
-/// CertainBackend::Answer. Parse/classify/prepare timings are the
-/// caller's to fill in. The report body of SolveDatabase
-/// (engine/batch.h), so single-shot and batch reports cannot drift apart.
-SolveReport ExecuteReport(const Classification& classification,
-                          const CertainBackend& backend,
-                          const PreparedDatabase& pdb, bool want_witness);
 
 }  // namespace cqa
 

@@ -704,51 +704,9 @@ StatusOr<SolveReport> Service::Solve(const CompiledQuery& q,
                   "empty CompiledQuery handle (use Service::Compile)");
   }
   StatusOr<SolveReport> report =
-      SolveDatabase(q.state_->solver, db, options_.explain_non_certain);
+      q.state_->solver.Solve(db, options_.explain_non_certain);
   if (report.ok()) FillCompileTimings(q, &report.value());
   return report;
-}
-
-std::vector<StatusOr<SolveReport>> Service::SolveMany(
-    const CompiledQuery& q, const std::vector<std::string>& db_names) const {
-  std::vector<StatusOr<SolveReport>> reports;
-  reports.reserve(db_names.size());
-  for (const std::string& name : db_names) reports.push_back(Solve(q, name));
-  return reports;
-}
-
-std::vector<StatusOr<SolveReport>> Service::SolveBatch(
-    const CompiledQuery& q, const std::vector<const Database*>& dbs,
-    BatchStats* stats) const {
-  if (!q.valid()) {
-    std::vector<StatusOr<SolveReport>> reports;
-    reports.reserve(dbs.size());
-    for (std::size_t i = 0; i < dbs.size(); ++i) {
-      reports.push_back(
-          Status(StatusCode::kInvalidArgument,
-                 "empty CompiledQuery handle (use Service::Compile)"));
-    }
-    return reports;
-  }
-  BatchOptions batch_options;
-  batch_options.num_threads = options_.batch_threads;
-  batch_options.want_witness = options_.explain_non_certain;
-  BatchSolver batch(q.state_->solver, batch_options);
-  std::vector<StatusOr<SolveReport>> reports =
-      batch.SolveAllReports(dbs, stats);
-  for (StatusOr<SolveReport>& report : reports) {
-    if (report.ok()) FillCompileTimings(q, &report.value());
-  }
-  return reports;
-}
-
-std::vector<StatusOr<SolveReport>> Service::SolveBatch(
-    const CompiledQuery& q, const std::vector<Database>& dbs,
-    BatchStats* stats) const {
-  std::vector<const Database*> pointers;
-  pointers.reserve(dbs.size());
-  for (const Database& db : dbs) pointers.push_back(&db);
-  return SolveBatch(q, pointers, stats);
 }
 
 std::vector<std::string> Service::BackendNames() {

@@ -59,7 +59,10 @@
 // solver lock, and a later one reuses the verdicts an earlier one
 // attached. Solves of different queries, Compile, registration, and
 // solves on different databases run concurrently; a database dropped
-// mid-solve stays alive until the solve returns.
+// mid-solve stays alive until the solve returns. Solve(q, db) on a
+// caller-owned database takes no Service lock at all; callers wanting
+// parallel ad-hoc solves call it from their own threads (see its
+// sharing contract).
 //
 // The acquisition order across these locks is a machine-checked hierarchy
 // (base/lock_rank.h): kServiceRegistry (mutex_) > kDbEntry (structure) >
@@ -92,7 +95,6 @@
 #include "data/audit.h"
 #include "data/database.h"
 #include "data/prepared.h"
-#include "engine/batch.h"
 #include "engine/incremental.h"
 #include "engine/solver.h"
 #include "store/store.h"
@@ -105,8 +107,6 @@ struct ServiceOptions {
   std::uint32_t practical_k = 4;
   /// Bounds for the classifier's tripath search.
   TripathSearchLimits tripath_limits;
-  /// Worker threads for SolveBatch; 0 means hardware concurrency.
-  std::uint32_t batch_threads = 0;
   /// Attach falsifying-repair witnesses to non-certain reports (backends
   /// without Explain still report no witness).
   bool explain_non_certain = true;
@@ -440,24 +440,18 @@ class Service {
     return Solve(q, db_name, /*name_witness=*/false);
   }
 
-  /// Answers certain(q) on a caller-owned database (prepared per call).
+  /// Answers certain(q) on a caller-owned database (bound, prepared and
+  /// solved per call by CertainSolver::Solve). Errors: kSchemaMismatch,
+  /// kInvalidArgument (empty handle).
+  ///
+  /// Sharing contract: const and lock-free, so concurrent calls are safe
+  /// on distinct databases, or on one database whose block partition is
+  /// already built. A Database builds that partition lazily through
+  /// mutable members (data/database.h) and preparing forces the build,
+  /// so two threads solving the same never-prepared Database race: solve
+  /// it once first, or give each thread its own copy.
   [[nodiscard]] StatusOr<SolveReport> Solve(const CompiledQuery& q,
                                             const Database& db) const;
-
-  /// One report per registered name, in input order; per-slot errors.
-  std::vector<StatusOr<SolveReport>> SolveMany(
-      const CompiledQuery& q, const std::vector<std::string>& db_names) const;
-
-  /// Answers certain(q) on N caller-owned databases on the batch thread
-  /// pool; per-slot errors (see BatchSolver::SolveAllReports).
-  std::vector<StatusOr<SolveReport>> SolveBatch(
-      const CompiledQuery& q, const std::vector<const Database*>& dbs,
-      BatchStats* stats = nullptr) const;
-
-  /// Convenience overload for owned databases.
-  std::vector<StatusOr<SolveReport>> SolveBatch(
-      const CompiledQuery& q, const std::vector<Database>& dbs,
-      BatchStats* stats = nullptr) const;
 
   // -- Introspection --------------------------------------------------
 

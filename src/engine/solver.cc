@@ -1,9 +1,12 @@
 #include "engine/solver.h"
 
+#include <chrono>
 #include <string>
 #include <utility>
 
 #include "base/check.h"
+#include "data/prepared.h"
+#include "query/eval.h"
 
 namespace cqa {
 namespace {
@@ -80,15 +83,22 @@ CertainSolver::CertainSolver(ConjunctiveQuery query,
       classification_(std::move(classification)),
       backend_(std::move(backend)) {}
 
-SolverAnswer CertainSolver::Solve(const PreparedDatabase& pdb) const {
-  SolverAnswer answer;
-  answer.algorithm = backend_->algorithm();
-  answer.certain = backend_->Solve(pdb);
-  return answer;
-}
-
-SolverAnswer CertainSolver::Solve(const Database& db) const {
-  return Solve(PreparedDatabase(db));
+StatusOr<SolveReport> CertainSolver::Solve(const Database& db,
+                                           bool want_witness) const {
+  Status bound = ValidateBinding(query_, db);
+  if (!bound.ok()) return bound;
+  auto prepare_start = std::chrono::steady_clock::now();
+  PreparedDatabase pdb(db);
+  std::chrono::duration<double> prepare_time =
+      std::chrono::steady_clock::now() - prepare_start;
+  SolveReport report = ReportHeader(classification_, *backend_, pdb);
+  auto solve_start = std::chrono::steady_clock::now();
+  report.certain = backend_->Answer(pdb, want_witness, &report.witness);
+  std::chrono::duration<double> solve_time =
+      std::chrono::steady_clock::now() - solve_start;
+  report.timings.prepare_seconds = prepare_time.count();
+  report.timings.solve_seconds = solve_time.count();
+  return report;
 }
 
 }  // namespace cqa

@@ -18,6 +18,11 @@
 // instead of the dispatch (e.g. "sat", to cross-check "exhaustive"). A
 // new backend is one more class and one more table row in
 // engine/backends.cc.
+//
+// Two paths run the bound backend: Solve answers one caller-owned
+// database whole (Service::Solve(q, db)), and IncrementalSolver
+// (engine/incremental.h) answers a registered database component by
+// component.
 
 #ifndef CQA_ENGINE_SOLVER_H_
 #define CQA_ENGINE_SOLVER_H_
@@ -26,10 +31,10 @@
 #include <memory>
 #include <string>
 
+#include "api/report.h"
 #include "api/status.h"
 #include "classify/classifier.h"
 #include "data/database.h"
-#include "data/prepared.h"
 #include "engine/backend.h"
 #include "query/query.h"
 
@@ -47,12 +52,6 @@ struct SolverOptions {
   std::string forced_backend;
 };
 
-/// Answer with provenance.
-struct SolverAnswer {
-  bool certain = false;
-  SolverAlgorithm algorithm = SolverAlgorithm::kExhaustive;
-};
-
 /// Classify-once, solve-many certain-answer engine for two-atom queries.
 class CertainSolver {
  public:
@@ -64,12 +63,18 @@ class CertainSolver {
   [[nodiscard]] static StatusOr<CertainSolver> Create(
       ConjunctiveQuery query, const SolverOptions& options = {});
 
-  /// Decides whether `query()` is certain for db.
-  SolverAnswer Solve(const Database& db) const;
-
-  /// As above on an already-prepared database; thread-safe, so batch
-  /// callers may share one solver across worker threads.
-  SolverAnswer Solve(const PreparedDatabase& pdb) const;
+  /// Answers certain(query()) on a caller-owned database, start to
+  /// finish: binds the query to db's schema (the binding error, e.g.
+  /// kSchemaMismatch, when it cannot), prepares db, and runs the backend
+  /// through CertainBackend::Answer, which attaches a falsifying repair
+  /// when `want_witness`, the answer is not certain and the backend
+  /// supports Explain. The report carries provenance, size counters and
+  /// the prepare and solve timings; parse and classify timings are the
+  /// caller's. Const and lock-free: safe from several threads on distinct
+  /// databases, or on one whose block partition is already built
+  /// (preparing builds db's lazy partition).
+  [[nodiscard]] StatusOr<SolveReport> Solve(const Database& db,
+                                            bool want_witness) const;
 
   const Classification& classification() const { return classification_; }
   const ConjunctiveQuery& query() const { return query_; }

@@ -1,7 +1,8 @@
 // Tests for the cqa::Service facade: the Status/StatusOr error model,
-// compiled-query caching, database registration, SolveReport provenance,
-// and fault isolation in multi-database solving. No exception may cross
-// the api/ boundary: every error path here is observed as a typed Status.
+// compiled-query caching, database registration, and SolveReport
+// provenance on registered and caller-owned databases. No exception may
+// cross the api/ boundary: every error path here is observed as a typed
+// Status.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,6 @@
 #include <vector>
 
 #include "api/service.h"
-#include "base/rng.h"
-#include "gen/workloads.h"
 
 namespace cqa {
 namespace {
@@ -210,29 +209,39 @@ TEST(ServiceDatabases, RegisterDropAndNotFound) {
   EXPECT_EQ(service.DropDatabase("d1").code(), StatusCode::kNotFound);
 }
 
+// A registered database and a caller-owned copy of it report the same
+// provenance and sizes; only the registered solve counts components.
 TEST(ServiceSolve, ReportCarriesProvenanceAndTimings) {
   Service service;
   StatusOr<CompiledQuery> q = service.Compile("R(x | y) R(y | z)");
   ASSERT_TRUE(q.ok());
   ASSERT_TRUE(service.RegisterDatabase("d", ChainDb(q->query().schema())).ok());
 
-  StatusOr<SolveReport> report = service.Solve(*q, "d");
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->certain);
-  EXPECT_EQ(report->query_class, QueryClass::kPTimeCert2);
-  EXPECT_EQ(report->complexity, Complexity::kPTime);
-  EXPECT_EQ(report->algorithm, SolverAlgorithm::kCert2);
-  EXPECT_EQ(report->backend_name, "cert2");
-  EXPECT_EQ(report->num_facts, 3u);
-  EXPECT_EQ(report->num_blocks, 2u);
-  EXPECT_GT(report->timings.parse_seconds, 0.0);
-  EXPECT_GT(report->timings.classify_seconds, 0.0);
-  EXPECT_GE(report->timings.prepare_seconds, 0.0);
-  EXPECT_GT(report->timings.solve_seconds, 0.0);
-  EXPECT_FALSE(report->witness.has_value());  // Certain: nothing to explain.
-  // The summary never shows raw enum ints.
-  EXPECT_NE(report->Summary().find("Cert_2"), std::string::npos)
-      << report->Summary();
+  std::vector<StatusOr<SolveReport>> reports;
+  reports.push_back(service.Solve(*q, "d"));
+  reports.push_back(service.Solve(*q, ChainDb(q->query().schema())));
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const StatusOr<SolveReport>& report = reports[i];
+    bool registered = i == 0;
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->certain);
+    EXPECT_EQ(report->query_class, QueryClass::kPTimeCert2);
+    EXPECT_EQ(report->complexity, Complexity::kPTime);
+    EXPECT_EQ(report->algorithm, SolverAlgorithm::kCert2);
+    EXPECT_EQ(report->backend_name, "cert2");
+    EXPECT_EQ(report->num_facts, 3u);
+    EXPECT_EQ(report->num_blocks, 2u);
+    EXPECT_GT(report->timings.parse_seconds, 0.0);
+    EXPECT_GT(report->timings.classify_seconds, 0.0);
+    EXPECT_GE(report->timings.prepare_seconds, 0.0);
+    EXPECT_GT(report->timings.solve_seconds, 0.0);
+    EXPECT_EQ(report->incremental, registered) << i;
+    EXPECT_EQ(report->components_total, registered ? 1u : 0u) << i;
+    EXPECT_FALSE(report->witness.has_value());  // Certain: nothing to explain.
+    // The summary never shows raw enum ints.
+    EXPECT_NE(report->Summary().find("Cert_2"), std::string::npos)
+        << report->Summary();
+  }
 }
 
 TEST(ServiceSolve, SchemaMismatchIsTypedError) {
@@ -263,74 +272,6 @@ TEST(ServiceSolve, EmptyHandleIsInvalidArgument) {
   StatusOr<SolveReport> report = service.Solve(empty, ChainDb(q->query().schema()));
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ServiceSolveMany, PerDatabaseResults) {
-  Service service;
-  StatusOr<CompiledQuery> q = service.Compile("R(x | y) R(y | z)");
-  ASSERT_TRUE(q.ok());
-  ASSERT_TRUE(service.RegisterDatabase("good", ChainDb(q->query().schema())).ok());
-  Schema other;
-  other.AddRelation("S", 2, 1);
-  ASSERT_TRUE(service.RegisterDatabase("poisoned", Database(other)).ok());
-
-  std::vector<StatusOr<SolveReport>> reports =
-      service.SolveMany(*q, {"good", "poisoned", "missing"});
-  ASSERT_EQ(reports.size(), 3u);
-  EXPECT_TRUE(reports[0].ok());
-  EXPECT_EQ(reports[1].status().code(), StatusCode::kSchemaMismatch);
-  EXPECT_EQ(reports[2].status().code(), StatusCode::kNotFound);
-}
-
-// The batch acceptance bar: one poisoned database fails only its own
-// slot; every healthy slot matches the single-shot answer.
-TEST(ServiceSolveBatch, PoisonedDatabaseDoesNotTakeDownTheBatch) {
-  Service service;
-  StatusOr<CompiledQuery> q = service.Compile("R(x | y) R(y | z)");
-  ASSERT_TRUE(q.ok());
-
-  Rng rng(0xAB5);
-  InstanceParams params;
-  params.num_facts = 16;
-  params.domain_size = 4;
-  std::vector<Database> dbs;
-  for (int i = 0; i < 8; ++i) {
-    dbs.push_back(RandomInstance(q->query(), params, &rng));
-  }
-  Schema other;
-  other.AddRelation("S", 2, 1);  // Schema-mismatched database mid-batch.
-  dbs.insert(dbs.begin() + 4, Database(other));
-
-  BatchStats stats;
-  std::vector<StatusOr<SolveReport>> reports =
-      service.SolveBatch(*q, dbs, &stats);
-  ASSERT_EQ(reports.size(), 9u);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    if (i == 4) {
-      ASSERT_FALSE(reports[i].ok());
-      EXPECT_EQ(reports[i].status().code(), StatusCode::kSchemaMismatch);
-      continue;
-    }
-    ASSERT_TRUE(reports[i].ok()) << i << ": " << reports[i].status().ToString();
-    StatusOr<SolveReport> single = service.Solve(*q, dbs[i]);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(reports[i]->certain, single->certain) << i;
-    EXPECT_EQ(reports[i]->algorithm, single->algorithm) << i;
-  }
-  EXPECT_EQ(stats.queries, 8u);  // Only the healthy slots count.
-}
-
-TEST(ServiceSolveBatch, NullAndDuplicatePointersFailPerSlot) {
-  Service service;
-  StatusOr<CompiledQuery> q = service.Compile("R(x | y) R(y | z)");
-  ASSERT_TRUE(q.ok());
-  Database db = ChainDb(q->query().schema());
-  std::vector<const Database*> dbs{&db, nullptr, &db};
-  std::vector<StatusOr<SolveReport>> reports = service.SolveBatch(*q, dbs);
-  ASSERT_EQ(reports.size(), 3u);
-  EXPECT_TRUE(reports[0].ok());
-  EXPECT_EQ(reports[1].status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(reports[2].status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ServiceIntrospection, BackendNames) {

@@ -3,8 +3,9 @@
 // once per component, and mutations on disjoint key spaces
 // interleaved with solves (and automatic compactions) must linearize —
 // the final state is the one big sequential history would produce, and
-// every intermediate report is internally consistent. Run under
-// -fsanitize=thread in CI (label: concurrency).
+// every intermediate report is internally consistent; ad-hoc solves of
+// caller-owned databases from caller threads match a serial pass. Run
+// under -fsanitize=thread in CI (label: concurrency).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 
 #include "api/service.h"
 #include "api/witness.h"
+#include "base/rng.h"
+#include "gen/workloads.h"
 
 namespace cqa {
 namespace {
@@ -240,6 +243,72 @@ TEST(ConcurrencyTest, SolverEvictionUnderConcurrentSolves) {
   ASSERT_EQ(stats.databases.size(), 1u);
   EXPECT_LE(stats.databases[0].solvers.entries, 2u);
   EXPECT_GT(stats.databases[0].solvers.evictions, 0u);
+}
+
+// Ad-hoc solves of caller-owned databases take no Service lock, so
+// parallel callers run them from their own threads. Four threads solve
+// distinct, never-prepared databases (each builds its own lazy block
+// partition) for every dispatch class of the catalog plus a forced "sat";
+// every answer and algorithm must equal a serial pass's.
+TEST(ConcurrencyTest, AdHocSolvesFromCallerThreadsMatchSerial) {
+  struct Case {
+    const char* text;
+    const char* forced_backend;
+  };
+  const Case kCases[] = {
+      {"R(x, u | x, v) R(v, y | u, y)", ""},     // q1: coNP (condition).
+      {"R(x, u | x, y) R(u, y | x, z)", ""},     // q2: coNP (fork-tripath).
+      {"R(x | y) R(y | z)", ""},                 // q3: Cert_2.
+      {"R(x | y, x) R(y | x, u)", ""},           // q5: Cert_k, no tripath.
+      {"R(x | y, z) R(z | x, y)", ""},           // q6: Cert_k OR NOT matching.
+      {"R(x | y) R(y | y)", ""},                 // trivial (hom).
+      {"R(x, u | x, y) R(u, y | x, z)", "sat"},  // q2, forced CDCL.
+  };
+  const int kThreads = 4;
+  const int kDbsPerThread = 6;
+  Service service;
+  for (const Case& c : kCases) {
+    StatusOr<CompiledQuery> q =
+        service.Compile(c.text, CompileOptions{c.forced_backend, false});
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    Rng rng(0xAD40C);
+    InstanceParams params;
+    params.num_facts = 12;
+    params.domain_size = 3;
+    std::vector<Database> dbs;
+    for (int i = 0; i < kThreads * kDbsPerThread; ++i) {
+      dbs.push_back(RandomInstance(q->query(), params, &rng));
+    }
+
+    struct Answer {
+      bool ok = false;
+      bool certain = false;
+      SolverAlgorithm algorithm = SolverAlgorithm::kExhaustive;
+    };
+    auto answer = [&](const Database& db) {
+      StatusOr<SolveReport> report = service.Solve(*q, db);
+      return report.ok() ? Answer{true, report->certain, report->algorithm}
+                         : Answer{};
+    };
+    std::vector<Answer> parallel(dbs.size());
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = t; i < dbs.size(); i += kThreads) {
+          parallel[i] = answer(dbs[i]);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+
+    for (std::size_t i = 0; i < dbs.size(); ++i) {
+      Answer serial = answer(dbs[i]);
+      ASSERT_TRUE(serial.ok && parallel[i].ok) << c.text << " db#" << i;
+      EXPECT_EQ(parallel[i].certain, serial.certain) << c.text << " db#" << i;
+      EXPECT_EQ(parallel[i].algorithm, serial.algorithm)
+          << c.text << " db#" << i;
+    }
+  }
 }
 
 }  // namespace

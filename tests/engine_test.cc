@@ -1,7 +1,7 @@
 // Tests for the engine layer: the built-in backend table (every backend
 // agrees with or under-approximates the exhaustive ground truth), the
-// prepared database indexes, and BatchSolver parity with single-shot
-// CertainSolver::Solve on randomized workloads.
+// prepared database indexes, and CertainSolver's typed construction
+// errors and forced-backend override.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "base/check.h"
 #include "base/rng.h"
 #include "data/prepared.h"
-#include "engine/batch.h"
 #include "engine/backend.h"
 #include "engine/solver.h"
 #include "gen/workloads.h"
@@ -104,9 +103,10 @@ TEST(SatBackend, AgreesOnCertainInstance) {
   db.AddFactStr(0, "e1 e3 e2");
   db.AddFactStr(0, "e2 e1 e3");
   db.AddFactStr(0, "e3 e2 e1");
-  SolverAnswer answer = solver.Solve(db);
-  EXPECT_TRUE(answer.certain);
-  EXPECT_EQ(answer.algorithm, SolverAlgorithm::kSat);
+  StatusOr<SolveReport> report = solver.Solve(db, /*want_witness=*/false);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->certain);
+  EXPECT_EQ(report->algorithm, SolverAlgorithm::kSat);
 }
 
 TEST(PreparedDatabaseTest, IndexesMatchTheDatabase) {
@@ -165,53 +165,6 @@ TEST(PreparedDatabaseTest, ComputeSolutionsMatchesPairwiseDefinition) {
   }
 }
 
-// The acceptance bar for the engine layer: BatchSolver must produce
-// bit-identical answers to per-database CertainSolver::Solve, across the
-// dichotomy's dispatch classes and any thread count.
-TEST(BatchSolverTest, MatchesSingleShotSolveOnRandomWorkloads) {
-  for (const char* text : kCatalog) {
-    auto q = ParseQuery(text);
-    CertainSolver solver = MakeSolver(q);
-    Rng rng(0xBA7C4);
-    std::vector<Database> dbs;
-    dbs.reserve(24);
-    for (int i = 0; i < 24; ++i) dbs.push_back(SmallInstance(q, &rng));
-
-    std::vector<SolverAnswer> expected;
-    for (const Database& db : dbs) expected.push_back(solver.Solve(db));
-
-    for (std::uint32_t threads : {1u, 2u, 4u}) {
-      BatchOptions options;
-      options.num_threads = threads;
-      BatchSolver batch(solver, options);
-      BatchStats stats;
-      std::vector<StatusOr<SolveReport>> actual =
-          batch.SolveAllReports(dbs, &stats);
-      ASSERT_EQ(actual.size(), expected.size());
-      for (std::size_t i = 0; i < actual.size(); ++i) {
-        ASSERT_TRUE(actual[i].ok()) << actual[i].status().ToString();
-        EXPECT_EQ(actual[i]->certain, expected[i].certain)
-            << text << " threads=" << threads << " db#" << i;
-        EXPECT_EQ(actual[i]->algorithm, expected[i].algorithm)
-            << text << " threads=" << threads << " db#" << i;
-      }
-      EXPECT_EQ(stats.queries, dbs.size());
-      EXPECT_GT(stats.queries_per_sec, 0.0);
-      EXPECT_LE(stats.threads_used, threads);
-    }
-  }
-}
-
-TEST(BatchSolverTest, EmptyBatch) {
-  auto q = ParseQuery("R(x | y) R(y | z)");
-  CertainSolver solver = MakeSolver(q);
-  BatchSolver batch(solver, BatchOptions{4});
-  BatchStats stats;
-  EXPECT_TRUE(
-      batch.SolveAllReports(std::vector<const Database*>{}, &stats).empty());
-  EXPECT_EQ(stats.queries, 0u);
-}
-
 TEST(SolverCreateTest, TypedErrorsInsteadOfExceptions) {
   auto q3 = ParseQuery("R(x | y) R(y | z)");
   SolverOptions unknown;
@@ -258,33 +211,6 @@ TEST(SolverAlgorithmToString, NamesEveryAlgorithmDistinctly) {
   EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
 }
 
-// SolveAllReports answers must be bit-identical to single-shot
-// CertainSolver::Solve on healthy batches, with the report's extra
-// provenance attached.
-TEST(BatchSolverTest, ReportsMatchAnswersOnHealthyBatches) {
-  auto q = ParseQuery("R(x | y, x) R(y | x, u)");
-  CertainSolver solver = MakeSolver(q);
-  Rng rng(0x5CA1E);
-  std::vector<Database> dbs;
-  for (int i = 0; i < 12; ++i) dbs.push_back(SmallInstance(q, &rng));
-
-  BatchSolver batch(solver, BatchOptions{2});
-  std::vector<SolverAnswer> answers;
-  for (const Database& db : dbs) answers.push_back(solver.Solve(db));
-  BatchStats stats;
-  std::vector<StatusOr<SolveReport>> reports =
-      batch.SolveAllReports(dbs, &stats);
-  ASSERT_EQ(reports.size(), answers.size());
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    ASSERT_TRUE(reports[i].ok()) << reports[i].status().ToString();
-    EXPECT_EQ(reports[i]->certain, answers[i].certain) << i;
-    EXPECT_EQ(reports[i]->algorithm, answers[i].algorithm) << i;
-    EXPECT_EQ(reports[i]->query_class, solver.classification().query_class);
-    EXPECT_EQ(reports[i]->num_facts, dbs[i].NumFacts());
-  }
-  EXPECT_EQ(stats.queries, dbs.size());
-}
-
 TEST(SolverOptionsTest, ForcedBackendOverridesDispatch) {
   auto q3 = ParseQuery("R(x | y) R(y | z)");
   SolverOptions options;
@@ -293,8 +219,9 @@ TEST(SolverOptionsTest, ForcedBackendOverridesDispatch) {
   Database db(q3.schema());
   db.AddFactStr(0, "a b");
   db.AddFactStr(0, "b c");
-  SolverAnswer answer = solver.Solve(db);
-  EXPECT_EQ(answer.algorithm, SolverAlgorithm::kExhaustive);
+  StatusOr<SolveReport> report = solver.Solve(db, /*want_witness=*/false);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->algorithm, SolverAlgorithm::kExhaustive);
 }
 
 }  // namespace

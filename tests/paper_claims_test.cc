@@ -107,9 +107,11 @@ TEST(PaperClaims, KeyOnlyAtomsAreTrivial) {
   CertainSolver solver = MakeSolver(q);
   EXPECT_EQ(solver.classification().query_class, QueryClass::kTrivial);
   Database db(q.schema());
-  EXPECT_FALSE(solver.Solve(db).certain);  // Empty database.
+  // Empty database.
+  EXPECT_FALSE(solver.Solve(db, /*want_witness=*/false)->certain);
   db.AddFactStr(0, "a");
-  EXPECT_TRUE(solver.Solve(db).certain);   // Any fact matches both atoms.
+  // Any fact matches both atoms.
+  EXPECT_TRUE(solver.Solve(db, /*want_witness=*/false)->certain);
 }
 
 // certain is monotone under adding a fresh *consistent* fact that extends

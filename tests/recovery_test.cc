@@ -32,6 +32,7 @@
 #include "api/service.h"
 #include "api/witness.h"
 #include "base/rng.h"
+#include "scratch_dir.h"
 #include "store/io.h"
 
 namespace cqa {
@@ -39,12 +40,6 @@ namespace {
 
 constexpr const char* kQueryText = "R(x | y) R(y | z)";
 constexpr const char* kDbName = "crashdb";
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "cqa_recovery_test_" + name;
-  EXPECT_TRUE(store::RemoveDirRecursive(dir).ok());
-  return dir;
-}
 
 Schema OneRelationSchema() {
   Schema schema;
@@ -206,7 +201,7 @@ void RunCrashPoint(const Program& program, std::uint64_t crash_at,
                         (mode == store::FaultPlan::Mode::kBeforeOp
                              ? " before-op"
                              : " torn-write");
-  std::string dir = FreshDir(dir_tag);
+  std::string dir = FreshScratchDir(dir_tag);
   std::size_t acked = 0;
   {
     Service service(DurableOptions(dir, fsync));
@@ -287,7 +282,7 @@ void RunCrashPoint(const Program& program, std::uint64_t crash_at,
 // Dry-runs the program (no fault) and returns the total I/O op count.
 std::uint64_t CountOps(const Program& program, store::FsyncPolicy fsync,
                        const std::string& dir_tag) {
-  std::string dir = FreshDir(dir_tag);
+  std::string dir = FreshScratchDir(dir_tag);
   store::ClearFault();  // Reset the op counter.
   Service service(DurableOptions(dir, fsync));
   StatusOr<CompiledQuery> q = service.Compile(kQueryText);
@@ -363,7 +358,7 @@ TEST(RecoveryMatrix, RelaxedFsyncRecoversToAPrefix) {
 // solve after recovery must be served from the imported verdict cache
 // (every component cached, none re-solved).
 TEST(RecoveryService, VerdictCacheSurvivesRecovery) {
-  std::string dir = FreshDir("verdicts");
+  std::string dir = FreshScratchDir("verdicts");
   Program program = BuildProgram(64, /*seed=*/0xFACE);
   {
     Service service(
@@ -406,7 +401,7 @@ TEST(RecoveryService, VerdictCacheSurvivesRecovery) {
 // recovery flag after reopening, and the audit counters — cumulative
 // history, not derivable from the facts — surviving the restart.
 TEST(RecoveryService, CountersSurviveReopen) {
-  std::string dir = FreshDir("counters");
+  std::string dir = FreshScratchDir("counters");
   {
     Service service(DurableOptions(dir, store::FsyncPolicy::kEveryBatch));
     ASSERT_TRUE(
@@ -453,7 +448,7 @@ TEST(RecoveryService, CountersSurviveReopen) {
 // name starts from a clean slate instead of resurrecting the old WAL
 // (the PR's targeted bug fix).
 TEST(RecoveryService, DropThenRecreateStartsClean) {
-  std::string dir = FreshDir("drop_recreate");
+  std::string dir = FreshScratchDir("drop_recreate");
   Service service(DurableOptions(dir, store::FsyncPolicy::kEveryBatch));
   ASSERT_TRUE(
       service.RegisterDatabase(kDbName, Database(OneRelationSchema())).ok());
@@ -484,7 +479,7 @@ TEST(RecoveryService, DropThenRecreateStartsClean) {
 // (the WAL already holds that batch), but it must not vanish either:
 // Stats counts it, and a later checkpoint recovers once I/O works again.
 TEST(RecoveryService, FailedAutomaticSnapshotIsCounted) {
-  std::string dir = FreshDir("snapshot_failure");
+  std::string dir = FreshScratchDir("snapshot_failure");
   ServiceOptions options = DurableOptions(dir, store::FsyncPolicy::kEveryBatch);
   options.durability.snapshot_interval = 2;
   Service service(options);

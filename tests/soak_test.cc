@@ -34,6 +34,7 @@
 #include "base/rng.h"
 #include "engine/incremental.h"
 #include "gen/workloads.h"
+#include "scratch_dir.h"
 #include "store/io.h"
 
 namespace cqa {
@@ -71,9 +72,8 @@ TEST(SoakTest, BoundsHoldAndAnswersMatchRebuildUnder10kMutations) {
     // not lose a single acknowledged mutation.
     options.durability.enabled = true;
     options.durability.data_dir =
-        ::testing::TempDir() + "cqa_soak_" + std::to_string(config);
+        FreshScratchDir("soak_" + std::to_string(config));
     options.durability.snapshot_interval = 256;
-    ASSERT_TRUE(store::RemoveDirRecursive(options.durability.data_dir).ok());
     auto service = std::make_unique<Service>(options);
 
     CompileOptions copts;

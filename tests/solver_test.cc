@@ -31,8 +31,9 @@ class SolverCatalogTest : public ::testing::TestWithParam<CatalogEntry> {};
 TEST_P(SolverCatalogTest, DispatchesExpectedAlgorithm) {
   CertainSolver solver = MakeSolver(ParseQuery(GetParam().text));
   Database db(solver.query().schema());
-  SolverAnswer answer = solver.Solve(db);
-  EXPECT_EQ(answer.algorithm, GetParam().expected_algorithm);
+  StatusOr<SolveReport> report = solver.Solve(db, /*want_witness=*/false);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->algorithm, GetParam().expected_algorithm);
 }
 
 TEST_P(SolverCatalogTest, AgreesWithGroundTruthOnRandomInstances) {
@@ -45,7 +46,7 @@ TEST_P(SolverCatalogTest, AgreesWithGroundTruthOnRandomInstances) {
     params.domain_size = 3;
     Database db = RandomInstance(q, params, &rng);
     bool expected = CertainByEnumeration(q, db);
-    bool actual = solver.Solve(db).certain;
+    bool actual = solver.Solve(db, /*want_witness=*/false)->certain;
     EXPECT_EQ(actual, expected) << db.ToString();
   }
 }
@@ -63,7 +64,7 @@ TEST(SolverYesBranch, Q6GluedTriangles) {
   db.AddFactStr(0, "e2 e1 e3");
   db.AddFactStr(0, "e3 e2 e1");
   ASSERT_TRUE(CertainByEnumeration(q6, db));
-  EXPECT_TRUE(solver.Solve(db).certain);
+  EXPECT_TRUE(solver.Solve(db, /*want_witness=*/false)->certain);
 }
 
 TEST(SolverYesBranch, TrivialHomQuery) {
@@ -73,7 +74,7 @@ TEST(SolverYesBranch, TrivialHomQuery) {
   db.AddFactStr(0, "c c");  // Singleton block matching R(y | y).
   db.AddFactStr(0, "a b");
   ASSERT_TRUE(CertainByEnumeration(q, db));
-  EXPECT_TRUE(solver.Solve(db).certain);
+  EXPECT_TRUE(solver.Solve(db, /*want_witness=*/false)->certain);
 }
 
 TEST(SolverYesBranch, HardClassExhaustive) {
@@ -84,9 +85,10 @@ TEST(SolverYesBranch, HardClassExhaustive) {
   db.AddFactStr(0, "a b a c");
   db.AddFactStr(0, "b c a d");
   ASSERT_TRUE(CertainByEnumeration(q2, db));
-  SolverAnswer answer = solver.Solve(db);
-  EXPECT_TRUE(answer.certain);
-  EXPECT_EQ(answer.algorithm, SolverAlgorithm::kExhaustive);
+  StatusOr<SolveReport> report = solver.Solve(db, /*want_witness=*/false);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->certain);
+  EXPECT_EQ(report->algorithm, SolverAlgorithm::kExhaustive);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -166,7 +168,7 @@ TEST(Solver, PracticalKIsConfigurable) {
   CertainSolver solver = MakeSolver(ParseQuery("R(x | y, x) R(y | x, u)"), options);
   Database db(solver.query().schema());
   db.AddFactStr(0, "a b a");
-  EXPECT_FALSE(solver.Solve(db).certain);
+  EXPECT_FALSE(solver.Solve(db, /*want_witness=*/false)->certain);
 }
 
 }  // namespace

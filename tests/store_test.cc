@@ -14,6 +14,7 @@
 
 #include "data/database.h"
 #include "data/schema.h"
+#include "scratch_dir.h"
 #include "store/format.h"
 #include "store/io.h"
 #include "store/snapshot.h"
@@ -23,14 +24,6 @@
 namespace cqa {
 namespace store {
 namespace {
-
-// A unique directory under the test temp root, wiped before use so a
-// rerun never sees a previous run's files.
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "cqa_store_test_" + name;
-  EXPECT_TRUE(RemoveDirRecursive(dir).ok());
-  return dir;
-}
 
 Schema TwoRelationSchema() {
   Schema schema;
@@ -340,7 +333,7 @@ TEST(VerdictCodecTest, RoundTripValidatesAgainstTheDatabase) {
 // -- io.h --------------------------------------------------------------
 
 TEST(IoTest, WriteFileAtomicRoundTrip) {
-  std::string dir = FreshDir("atomic");
+  std::string dir = FreshScratchDir("atomic");
   ASSERT_TRUE(MakeDirs(dir).ok());
   std::string path = dir + "/file.bin";
 
@@ -358,7 +351,7 @@ TEST(IoTest, WriteFileAtomicRoundTrip) {
 }
 
 TEST(IoTest, CrashDuringAtomicWriteLeavesOldOrNewNeverTorn) {
-  std::string dir = FreshDir("atomic_crash");
+  std::string dir = FreshScratchDir("atomic_crash");
   ASSERT_TRUE(MakeDirs(dir).ok());
   std::string path = dir + "/file.bin";
   ASSERT_TRUE(WriteFileAtomic(path, "old-content").ok());
@@ -392,7 +385,7 @@ TEST(IoTest, CrashDuringAtomicWriteLeavesOldOrNewNeverTorn) {
 }
 
 TEST(IoTest, AppendFileSyncIsTheDurabilityBarrier) {
-  std::string dir = FreshDir("append");
+  std::string dir = FreshScratchDir("append");
   ASSERT_TRUE(MakeDirs(dir).ok());
   std::string path = dir + "/wal.log";
 
@@ -423,7 +416,7 @@ TEST(IoTest, AppendFileSyncIsTheDurabilityBarrier) {
 }
 
 TEST(IoTest, PartialWriteTearsTheSyncAndTruncateDropsIt) {
-  std::string dir = FreshDir("torn");
+  std::string dir = FreshScratchDir("torn");
   ASSERT_TRUE(MakeDirs(dir).ok());
   std::string path = dir + "/wal.log";
 
@@ -458,7 +451,7 @@ TEST(IoTest, PartialWriteTearsTheSyncAndTruncateDropsIt) {
 }
 
 TEST(IoTest, DeadAfterTripUntilCleared) {
-  std::string dir = FreshDir("dead");
+  std::string dir = FreshScratchDir("dead");
   FaultPlan plan;
   plan.crash_at_op = 0;
   InstallFault(plan);
@@ -473,7 +466,7 @@ TEST(IoTest, DeadAfterTripUntilCleared) {
 // -- store.h -----------------------------------------------------------
 
 TEST(DurableStoreTest, CreateAppendReopenReplaysTheTail) {
-  std::string dir = FreshDir("store_basic");
+  std::string dir = FreshScratchDir("store_basic");
   Database db(TwoRelationSchema());
   DurableStore::Options options;
 
@@ -501,7 +494,7 @@ TEST(DurableStoreTest, CreateAppendReopenReplaysTheTail) {
 }
 
 TEST(DurableStoreTest, SnapshotResetsWalAndReopenSkipsCoveredRecords) {
-  std::string dir = FreshDir("store_snapshot");
+  std::string dir = FreshScratchDir("store_snapshot");
   Database db(TwoRelationSchema());
   DurableStore::Options options;
 
@@ -528,7 +521,7 @@ TEST(DurableStoreTest, SnapshotResetsWalAndReopenSkipsCoveredRecords) {
 }
 
 TEST(DurableStoreTest, TornWalTailIsTruncatedOnOpen) {
-  std::string dir = FreshDir("store_torn");
+  std::string dir = FreshScratchDir("store_torn");
   Database db(TwoRelationSchema());
   DurableStore::Options options;
 
@@ -567,7 +560,7 @@ TEST(DurableStoreTest, TornWalTailIsTruncatedOnOpen) {
 }
 
 TEST(DurableStoreTest, CorruptNewestSnapshotFallsBackToThePreviousOne) {
-  std::string dir = FreshDir("store_fallback");
+  std::string dir = FreshScratchDir("store_fallback");
   Database db(TwoRelationSchema());
   DurableStore::Options options;
 
@@ -606,7 +599,7 @@ TEST(DurableStoreTest, CorruptNewestSnapshotFallsBackToThePreviousOne) {
 }
 
 TEST(DurableStoreTest, AllSnapshotsCorruptIsTypedNotSilent) {
-  std::string dir = FreshDir("store_all_corrupt");
+  std::string dir = FreshScratchDir("store_all_corrupt");
   Database db(TwoRelationSchema());
   DurableStore::Options options;
   StatusOr<std::unique_ptr<DurableStore>> created =
@@ -624,14 +617,14 @@ TEST(DurableStoreTest, AllSnapshotsCorruptIsTypedNotSilent) {
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruptedData);
 
-  EXPECT_EQ(DurableStore::Open(FreshDir("store_absent"), options)
+  EXPECT_EQ(DurableStore::Open(FreshScratchDir("store_absent"), options)
                 .status()
                 .code(),
             StatusCode::kNotFound);
 }
 
 TEST(DurableStoreTest, DestroyRemovesTheDirectory) {
-  std::string dir = FreshDir("store_destroy");
+  std::string dir = FreshScratchDir("store_destroy");
   Database db(TwoRelationSchema());
   StatusOr<std::unique_ptr<DurableStore>> created =
       DurableStore::Create(dir, db, {}, {});
